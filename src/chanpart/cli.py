@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -99,8 +100,8 @@ def parse_problem_document(doc) -> ProblemFile:
         channel = ChannelMatrix.identity(num_cells)
 
     beta = _require(doc, "beta")
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not beta > 0:
-        raise InputFileError(f"beta: expected a positive number, got {beta!r}")
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0 < beta < math.inf:
+        raise InputFileError(f"beta: expected a positive finite number, got {beta!r}")
 
     impurity_name = _require(doc, "impurity")
     if impurity_name not in IMPURITY_KINDS:
@@ -240,7 +241,7 @@ def report_document(spec: ProblemSpec, report: SolveReport) -> dict:
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -265,20 +266,6 @@ def write_posterior_csv(path: str, spec: ProblemSpec, report: SolveReport) -> No
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def _solver_gate(spec: ProblemSpec, name: str) -> str | None:
-    """Reason a solver is not applicable to this instance, or None."""
-    if name == "thresholds" and spec.num_sources != 2:
-        return "needs a binary source"
-    if name == "dp":
-        if spec.num_sources != 2:
-            return "needs a binary source"
-        if not spec.channel.is_identity:
-            return "needs the identity channel"
-        if spec.constraint.kind == "linear":
-            return "needs a cell-symmetric constraint"
-    return None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -321,14 +308,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     results = []
     exact_objectives = {}
     for name in SOLVER_NAMES:
-        reason = _solver_gate(pf.spec, name)
-        if reason is not None:
-            results.append({"solver": name, "applicable": False, "reason": reason})
-            continue
         started = time.perf_counter()
         try:
             report = _run_named_solver(name, pf.spec, pf.options)
-        except (InstanceTooLargeError, NotBinaryError, PreconditionViolatedError) as exc:
+        except (NotBinaryError, PreconditionViolatedError) as exc:
+            results.append({"solver": name, "applicable": False, "reason": str(exc)})
+            continue
+        except InstanceTooLargeError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return EXIT_GUARD
         elapsed = time.perf_counter() - started

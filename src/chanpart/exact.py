@@ -11,6 +11,10 @@ Three globally exact routes are provided, each with its own validity domain:
   symmetric-constraint case by dynamic programming over the same sorted
   order in O(K * M^2).
 
+Each solver checks its own domain before any work and raises
+``NotBinaryError`` or ``PreconditionViolatedError`` with a short reason,
+which ``chanpart compare`` reports as the solver's ``reason``.
+
 :func:`check_hyperplane_separation` verifies the local-optimality geometry
 of any hard partition: every symbol in an argmin-distance cell and, for
 binary sources, cells forming contiguous posterior intervals (ties may
@@ -31,52 +35,24 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .impurity import column_impurities, constraint_total
-from .iterative import SolveReport
-from .objective import ProblemSpec, distance_matrix, evaluate
-from .probability import Quantizer, posteriors
+from .objective import (
+    CERTIFICATE_TOL,
+    ProblemSpec,
+    SolveReport,
+    certified_report,
+    distance_matrix,
+    evaluate,
+    score_cells,
+)
+from .probability import Quantizer, cell_joints, posteriors
 
 #: Refuse exhaustive enumeration beyond 2**22 assignments.
 BRUTEFORCE_BUDGET_BITS = 22.0
 
 #: Tie tolerance for separation certificates.
-SEPARATION_TOL = 1e-9
+SEPARATION_TOL = CERTIFICATE_TOL
 
 _CHUNK = 8192
-
-
-# ---------------------------------------------------------------------------
-# Shared internals
-# ---------------------------------------------------------------------------
-
-
-def _labels_objective(spec: ProblemSpec, labels: np.ndarray) -> float:
-    """Objective of a hard assignment, without container bookkeeping."""
-    joint = spec.joint.entries
-    clusters = np.empty((spec.num_sources, spec.num_cells))
-    for row in range(spec.num_sources):
-        clusters[row] = np.bincount(labels, weights=joint[row], minlength=spec.num_cells)
-    outputs = clusters @ spec.channel.entries
-    f_value = float(column_impurities(spec.impurity, outputs).sum())
-    g_value = float(constraint_total(spec.constraint, clusters.sum(axis=0)))
-    return spec.beta * f_value + g_value
-
-
-def _report_for_labels(spec: ProblemSpec, labels: np.ndarray, solver_name: str) -> SolveReport:
-    quantizer = Quantizer.hard(labels, spec.num_cells)
-    state = evaluate(spec, quantizer)
-    dist = distance_matrix(state, spec, scaled=True)
-    own = dist[quantizer.hard_assignment, np.arange(spec.num_symbols)]
-    certificate = bool(np.all(own <= dist.min(axis=0) + SEPARATION_TOL))
-    return SolveReport(
-        solver_name=solver_name,
-        best_quantizer=quantizer,
-        objective=state.objective,
-        F_value=state.F_value,
-        G_value=state.G_value,
-        iterations_used=(),
-        objective_trace=(state.objective,),
-        optimality_certificate=certificate,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +100,7 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
             best_obj = float(objs[pick])
             best_labels = labels[pick].astype(np.int64)
 
-    return _report_for_labels(spec, best_labels, "bruteforce")
+    return certified_report(spec, best_labels, "bruteforce")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +123,7 @@ def solve_binary_thresholds(spec: ProblemSpec) -> SolveReport:
     linear constraint weights are cell-specific.
     """
     if spec.num_sources != 2:
-        raise NotBinaryError(f"threshold search needs a binary source, got N={spec.num_sources}")
+        raise NotBinaryError("needs a binary source")
     m, k = spec.num_symbols, spec.num_cells
     order = _sorted_posterior_order(spec)
 
@@ -160,12 +136,13 @@ def solve_binary_thresholds(spec: ProblemSpec) -> SolveReport:
             for cells in permutations(range(k), intervals):
                 for i in range(intervals):
                     labels[order[bounds[i] : bounds[i + 1]]] = cells[i]
-                obj = _labels_objective(spec, labels)
+                clusters = cell_joints(spec.joint, labels, k)
+                obj = score_cells(spec, clusters, clusters.sum(axis=0))[3]
                 if obj < best_obj:
                     best_obj = obj
                     best_labels = labels.copy()
 
-    return _report_for_labels(spec, best_labels, "thresholds")
+    return certified_report(spec, best_labels, "thresholds")
 
 
 def solve_dp_identity(spec: ProblemSpec) -> SolveReport:
@@ -177,11 +154,11 @@ def solve_dp_identity(spec: ProblemSpec) -> SolveReport:
     best split into at most K intervals is found in O(K * M^2).
     """
     if spec.num_sources != 2:
-        raise PreconditionViolatedError(f"DP needs a binary source, got N={spec.num_sources}")
+        raise PreconditionViolatedError("needs a binary source")
     if not spec.channel.is_identity:
-        raise PreconditionViolatedError("DP needs the identity channel")
+        raise PreconditionViolatedError("needs the identity channel")
     if spec.constraint.kind == "linear":
-        raise PreconditionViolatedError("DP needs a cell-symmetric constraint (none or entropy)")
+        raise PreconditionViolatedError("needs a cell-symmetric constraint")
 
     m, k = spec.num_symbols, spec.num_cells
     order = _sorted_posterior_order(spec)
@@ -219,7 +196,7 @@ def solve_dp_identity(spec: ProblemSpec) -> SolveReport:
     labels = np.empty(m, dtype=np.int64)
     for r in range(best_j):
         labels[order[bounds[r] : bounds[r + 1]]] = r
-    return _report_for_labels(spec, labels, "dp")
+    return certified_report(spec, labels, "dp")
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, OutOfRangeError
-from .impurity import column_gradients, column_impurities, constraint_derivatives, constraint_total
-from .objective import ProblemSpec, distance_matrix, evaluate
-from .probability import Quantizer, posteriors
+from .impurity import column_gradients, constraint_derivatives
+# CERTIFICATE_TOL and SolveReport are also imported from this module by callers
+from .objective import CERTIFICATE_TOL, ProblemSpec, SolveReport, certified_report, score_cells
+from .probability import Quantizer, cell_joints, posteriors
 
 SWEEP_MODES = ("sequential", "batch")
 INIT_MODES = ("random", "provided")
-
-#: Tolerance for the local-optimality certificate.
-CERTIFICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,24 +82,6 @@ class SolverOptions:
         return mine == theirs
 
 
-@dataclass(frozen=True, eq=False)
-class SolveReport:
-    """Result of one solver run, shared by the local and exact solvers."""
-
-    solver_name: str
-    best_quantizer: Quantizer
-    objective: float
-    F_value: float
-    G_value: float
-    iterations_used: tuple[int, ...]
-    objective_trace: tuple[float, ...]
-    optimality_certificate: bool
-
-    @property
-    def assignment(self) -> np.ndarray:
-        return self.best_quantizer.hard_assignment
-
-
 class _SweepEngine:
     """Mutable per-restart statistics.
 
@@ -114,8 +94,10 @@ class _SweepEngine:
     """
 
     #: Column block size for batch sweeps; keeps temporaries cache- and
-    #: allocator-friendly at large M.
-    BLOCK = 16384
+    #: allocator-friendly at large M.  Blocks of 16384 columns push the GEMMs
+    #: past OpenBLAS's multithreading size threshold, and threaded GEMM on a
+    #: two-core host falls into a mode about five times slower.
+    BLOCK = 4096
 
     def __init__(self, spec: ProblemSpec, assignment: np.ndarray) -> None:
         self.spec = spec
@@ -142,21 +124,16 @@ class _SweepEngine:
         return self._posteriors
 
     def rebuild(self) -> None:
-        n, k = self.spec.num_sources, self.spec.num_cells
-        clusters = np.empty((n, k))
-        for row in range(n):
-            clusters[row] = np.bincount(self.assignment, weights=self.joint[row], minlength=k)
-        self.clusters = clusters
-        self.mass = clusters.sum(axis=0)
+        self.clusters = cell_joints(self.spec.joint, self.assignment, self.spec.num_cells)
+        self.mass = self.clusters.sum(axis=0)
         self._refresh()
 
     def _refresh(self) -> None:
-        outputs = self.clusters @ self.channel
+        outputs, self.F_value, self.G_value, self.objective = score_cells(
+            self.spec, self.clusters, self.mass
+        )
         self.gradients = column_gradients(self.spec.impurity, outputs)
         self.derivs = constraint_derivatives(self.spec.constraint, self.mass)
-        self.F_value = float(column_impurities(self.spec.impurity, outputs).sum())
-        self.G_value = float(constraint_total(self.spec.constraint, self.mass))
-        self.objective = self.spec.beta * self.F_value + self.G_value
 
     def move(self, m: int, target: int) -> None:
         source = int(self.assignment[m])
@@ -196,18 +173,17 @@ class _SweepEngine:
         grads_t = np.ascontiguousarray(self.gradients.T)
         for start in range(0, total, self.BLOCK):
             block = slice(start, min(start + self.BLOCK, total))
-            cols = self.joint[:, block] / self.symbol_mass[block][None, :]
-            dist = self.channel @ (grads_t @ cols)
+            dist = self.channel @ (grads_t @ self.posteriors[:, block])
             dist *= self.spec.beta
             dist += self.derivs[:, None]
             nearest[block] = dist.argmin(axis=0)
         return nearest
 
     def sweep_batch(self) -> int:
+        """Move every symbol at once; the statistics are stale until ``rebuild``."""
         nearest = self.nearest_cells()
         changed = int(np.count_nonzero(nearest != self.assignment))
         self.assignment = nearest
-        self.rebuild()
         return changed
 
     def reseed_empty_cells(self, already_reseeded: set[int]) -> bool:
@@ -273,11 +249,8 @@ def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions):
     sweeps = 0
     while sweeps < opts.max_iterations:
         sweeps += 1
-        if sequential:
-            changed = engine.sweep_sequential()
-            engine.rebuild()
-        else:
-            changed = engine.sweep_batch()
+        changed = engine.sweep_sequential() if sequential else engine.sweep_batch()
+        engine.rebuild()
         trace.append(engine.objective)
         if engine.objective < best_obj:
             best_obj = engine.objective
@@ -308,14 +281,7 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
     """
     opts = options or SolverOptions()
     if opts.initial_assignment is not None:
-        if opts.initial_assignment.shape != (spec.num_symbols,):
-            raise DimensionMismatchError(
-                f"initial assignment covers {opts.initial_assignment.size} symbols, "
-                f"expected {spec.num_symbols}"
-            )
-        if opts.initial_assignment.min() < 0 or opts.initial_assignment.max() >= spec.num_cells:
-            raise IndexOutOfRangeError("initial assignment labels out of range")
-        starts = [np.asarray(opts.initial_assignment, dtype=np.int64)]
+        starts = [opts.initial_assignment]
     else:
         children = np.random.SeedSequence(opts.seed).spawn(opts.restarts)
         starts = [
@@ -331,18 +297,6 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
         if best is None or obj < best[0]:
             best = (obj, assignment, trace)
 
-    quantizer = Quantizer.hard(best[1], spec.num_cells)
-    state = evaluate(spec, quantizer)
-    dist = distance_matrix(state, spec, scaled=True)
-    own = dist[quantizer.hard_assignment, np.arange(spec.num_symbols)]
-    certificate = bool(np.all(own <= dist.min(axis=0) + CERTIFICATE_TOL))
-    return SolveReport(
-        solver_name="iterative",
-        best_quantizer=quantizer,
-        objective=state.objective,
-        F_value=state.F_value,
-        G_value=state.G_value,
-        iterations_used=tuple(iterations),
-        objective_trace=tuple(float(x) for x in best[2]),
-        optimality_certificate=certificate,
+    return certified_report(
+        spec, best[1], "iterative", tuple(iterations), tuple(float(x) for x in best[2])
     )

@@ -50,9 +50,11 @@ from .probability import (
     Quantizer,
     cluster_joints_array,
     posteriors,
-    push_through_channel,
     push_to_clusters,
 )
+
+#: Tie tolerance of the local-optimality certificate.
+CERTIFICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +69,8 @@ class ProblemSpec:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (float(self.beta) > 0.0):
-            raise OutOfRangeError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < float(self.beta) < np.inf:
+            raise OutOfRangeError(f"beta must be positive and finite, got {self.beta}")
         object.__setattr__(self, "beta", float(self.beta))
         if self.channel.num_inputs != self.num_cells:
             raise DimensionMismatchError(
@@ -106,6 +108,32 @@ class EvaluatedState:
     objective: float
 
 
+@dataclass(frozen=True, eq=False)
+class SolveReport:
+    """Result of one solver run, shared by the local and exact solvers."""
+
+    solver_name: str
+    best_quantizer: Quantizer
+    objective: float
+    F_value: float
+    G_value: float
+    iterations_used: tuple[int, ...]
+    objective_trace: tuple[float, ...]
+    optimality_certificate: bool
+
+    @property
+    def assignment(self) -> np.ndarray:
+        return self.best_quantizer.hard_assignment
+
+
+def score_cells(spec: ProblemSpec, clusters: np.ndarray, mass: np.ndarray) -> tuple:
+    """``(outputs, F_value, G_value, objective)`` of N x K cell joints; every solver scores here."""
+    outputs = clusters @ spec.channel.entries
+    f_value = float(column_impurities(spec.impurity, outputs).sum())
+    g_value = float(constraint_total(spec.constraint, mass))
+    return outputs, f_value, g_value, spec.beta * f_value + g_value
+
+
 def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
     """Score a (hard or soft) quantizer and collect its gradient data."""
     if quantizer.num_cells != spec.num_cells:
@@ -113,19 +141,17 @@ def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
             f"quantizer has {quantizer.num_cells} cells, spec expects {spec.num_cells}"
         )
     clusters = push_to_clusters(spec.joint, quantizer)
-    outputs = push_through_channel(clusters, spec.channel)
-    f_value = float(column_impurities(spec.impurity, outputs.entries).sum())
-    g_value = float(constraint_total(spec.constraint, clusters.cluster_mass))
-    grads = column_gradients(spec.impurity, outputs.entries)
-    derivs = constraint_derivatives(spec.constraint, clusters.cluster_mass)
+    outputs, f_value, g_value, objective = score_cells(
+        spec, clusters.entries, clusters.cluster_mass
+    )
     return EvaluatedState(
         cluster_joints=clusters,
-        output_joints=outputs,
-        output_gradients=grads,
-        constraint_derivatives=derivs,
+        output_joints=OutputJoints(entries=outputs, output_mass=outputs.sum(axis=0)),
+        output_gradients=column_gradients(spec.impurity, outputs),
+        constraint_derivatives=constraint_derivatives(spec.constraint, clusters.cluster_mass),
         F_value=f_value,
         G_value=g_value,
-        objective=spec.beta * f_value + g_value,
+        objective=objective,
     )
 
 
@@ -172,17 +198,38 @@ def scaled_distance(state: EvaluatedState, spec: ProblemSpec, m: int, k: int) ->
     return float(spec.beta * (spec.channel.entries[k] @ s) + state.constraint_derivatives[k])
 
 
+def _distance_optimal(spec: ProblemSpec, state: EvaluatedState, labels, tol=CERTIFICATE_TOL) -> bool:
+    dist = distance_matrix(state, spec, scaled=True)
+    own = dist[labels, np.arange(labels.size)]
+    # not own - best <= tol: that rounds differently and can flip a tied certificate
+    return bool(np.all(own <= dist.min(axis=0) + tol))
+
+
 def assignment_is_distance_optimal(
-    spec: ProblemSpec, quantizer: Quantizer, tol: float = 1e-9
+    spec: ProblemSpec, quantizer: Quantizer, tol: float = CERTIFICATE_TOL
 ) -> bool:
     """True when every symbol sits in a cell of minimal scaled distance."""
     if quantizer.kind != "hard":
         raise InvalidMoveError("distance optimality is defined for hard quantizers")
+    return _distance_optimal(spec, evaluate(spec, quantizer), quantizer.hard_assignment, tol)
+
+
+def certified_report(
+    spec: ProblemSpec, labels, solver_name: str, iterations_used=(), objective_trace=None
+) -> SolveReport:
+    """Evaluated, certified report of a hard assignment; the trace defaults to its objective."""
+    quantizer = Quantizer.hard(labels, spec.num_cells)
     state = evaluate(spec, quantizer)
-    dist = distance_matrix(state, spec, scaled=True)
-    labels = quantizer.hard_assignment
-    own = dist[labels, np.arange(labels.size)]
-    return bool(np.all(own <= dist.min(axis=0) + tol))
+    return SolveReport(
+        solver_name=solver_name,
+        best_quantizer=quantizer,
+        objective=state.objective,
+        F_value=state.F_value,
+        G_value=state.G_value,
+        iterations_used=iterations_used,
+        objective_trace=(state.objective,) if objective_trace is None else objective_trace,
+        optimality_certificate=_distance_optimal(spec, state, quantizer.hard_assignment),
+    )
 
 
 def path_objective(
@@ -227,8 +274,4 @@ def path_objective(
     # float dust from the subtraction at t = 1
     np.maximum(entries, 0.0, out=entries)
     np.clip(mass, 0.0, 1.0, out=mass)
-
-    outputs = entries @ spec.channel.entries
-    f_value = float(column_impurities(spec.impurity, outputs).sum())
-    g_value = float(constraint_total(spec.constraint, mass))
-    return spec.beta * f_value + g_value
+    return score_cells(spec, entries, mass)[3]

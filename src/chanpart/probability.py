@@ -43,11 +43,29 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _check_nonnegative(a: np.ndarray, what: str) -> np.ndarray:
-    """Reject materially negative entries, clip float dust up to 0."""
+    """Reject non-finite and materially negative entries, clip float dust up to 0."""
+    if not np.all(np.isfinite(a)):
+        raise OutOfRangeError(f"{what} has a non-finite entry")
     if np.any(a < -INVARIANT_TOL):
         worst = float(a.min())
         raise NegativeEntryError(f"{what} has negative entry {worst}")
     return np.maximum(a, 0.0)
+
+
+def _joint_entries(raw, tol: float) -> np.ndarray:
+    """Checked joint matrix: 2-D, N >= 2, finite, nonnegative, total within ``tol`` of 1."""
+    a = np.asarray(raw, dtype=float)
+    if a.ndim != 2:
+        raise DimensionMismatchError(f"joint must be a 2-D matrix, got ndim={a.ndim}")
+    if a.shape[0] < 2 or a.shape[1] < 1:
+        raise DimensionMismatchError(
+            f"joint needs at least 2 source rows and 1 data column, got shape {a.shape}"
+        )
+    a = _check_nonnegative(a, "joint distribution")
+    total = float(a.sum())
+    if abs(total - 1.0) > tol:
+        raise SumNotOneError(f"joint distribution sums to {total!r}, expected 1 within {tol}")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,17 +80,7 @@ class JointDistribution:
     entries: np.ndarray  # shape (N, M)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2:
-            raise DimensionMismatchError(f"joint must be a 2-D matrix, got ndim={a.ndim}")
-        if a.shape[0] < 2 or a.shape[1] < 1:
-            raise DimensionMismatchError(
-                f"joint needs at least 2 source rows and 1 data column, got shape {a.shape}"
-            )
-        a = _check_nonnegative(a, "joint distribution")
-        total = float(a.sum())
-        if abs(total - 1.0) > INVARIANT_TOL:
-            raise SumNotOneError(f"joint distribution sums to {total!r}, expected 1")
+        a = _joint_entries(self.entries, INVARIANT_TOL)
         col = a.sum(axis=0)
         if np.any(col <= 0.0):
             dead = int(np.argmin(col))
@@ -105,18 +113,23 @@ def validate_joint(raw) -> JointDistribution:
     ``INPUT_TOL``; larger deviations raise ``SumNotOneError``.  Negative
     entries and all-zero columns are rejected.
     """
+    a = _joint_entries(raw, INPUT_TOL)
+    return JointDistribution(a / float(a.sum()))
+
+
+def _channel_entries(raw, tol: float) -> np.ndarray:
+    """Checked channel matrix: nonempty 2-D, finite, nonnegative, rows within ``tol`` of 1."""
     a = np.asarray(raw, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"joint must be a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 2 or a.shape[1] < 1:
-        raise DimensionMismatchError(
-            f"joint needs at least 2 source rows and 1 data column, got shape {a.shape}"
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise DimensionMismatchError(f"channel must be a nonempty 2-D matrix, got shape {a.shape}")
+    a = _check_nonnegative(a, "channel matrix")
+    rows = a.sum(axis=1)
+    if np.any(np.abs(rows - 1.0) > tol):
+        bad = int(np.argmax(np.abs(rows - 1.0)))
+        raise SumNotOneError(
+            f"channel row {bad} sums to {float(rows[bad])!r}, expected 1 within {tol}"
         )
-    a = _check_nonnegative(a, "joint distribution")
-    total = float(a.sum())
-    if abs(total - 1.0) > INPUT_TOL:
-        raise SumNotOneError(f"joint distribution sums to {total!r}, expected 1 within {INPUT_TOL}")
-    return JointDistribution(a / total)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,14 +139,7 @@ class ChannelMatrix:
     entries: np.ndarray  # shape (K, H)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise DimensionMismatchError(f"channel must be a nonempty 2-D matrix, got shape {a.shape}")
-        a = _check_nonnegative(a, "channel matrix")
-        rows = a.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > INVARIANT_TOL):
-            bad = int(np.argmax(np.abs(rows - 1.0)))
-            raise SumNotOneError(f"channel row {bad} sums to {float(rows[bad])!r}, expected 1")
+        a = _channel_entries(self.entries, INVARIANT_TOL)
         object.__setattr__(self, "entries", _readonly(a))
 
     @classmethod
@@ -157,17 +163,8 @@ class ChannelMatrix:
 
 def validate_channel(raw) -> ChannelMatrix:
     """Validate an externally supplied channel, renormalizing rows within INPUT_TOL."""
-    a = np.asarray(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatchError(f"channel must be a nonempty 2-D matrix, got shape {a.shape}")
-    a = _check_nonnegative(a, "channel matrix")
-    rows = a.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > INPUT_TOL):
-        bad = int(np.argmax(np.abs(rows - 1.0)))
-        raise SumNotOneError(
-            f"channel row {bad} sums to {float(rows[bad])!r}, expected 1 within {INPUT_TOL}"
-        )
-    return ChannelMatrix(a / rows[:, None])
+    a = _channel_entries(raw, INPUT_TOL)
+    return ChannelMatrix(a / a.sum(axis=1)[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,25 +299,27 @@ def posteriors(joint: JointDistribution) -> np.ndarray:
     return joint.entries / joint.symbol_marginal[None, :]
 
 
+def cell_joints(joint: JointDistribution, labels: np.ndarray, num_cells: int) -> np.ndarray:
+    """N x K cell joints p(X_n, Z_k) of trusted hard labels in [0, num_cells)."""
+    j = joint.entries
+    out = np.empty((j.shape[0], num_cells))
+    for n in range(j.shape[0]):
+        out[n] = np.bincount(labels, weights=j[n], minlength=num_cells)
+    return out
+
+
 def cluster_joints_array(joint: JointDistribution, quantizer: Quantizer) -> np.ndarray:
     """Raw N x K cluster-joint matrix (no container bookkeeping).
 
-    Hot path shared by the solvers; ``push_to_clusters`` wraps it in the
-    validated container.
+    ``push_to_clusters`` wraps it in the validated container.
     """
     if quantizer.num_points != joint.num_symbols:
         raise DimensionMismatchError(
             f"quantizer covers {quantizer.num_points} symbols, joint has {joint.num_symbols}"
         )
-    j = joint.entries
-    k = quantizer.num_cells
     if quantizer.kind == "hard":
-        labels = quantizer.hard_assignment
-        out = np.empty((j.shape[0], k))
-        for n in range(j.shape[0]):
-            out[n] = np.bincount(labels, weights=j[n], minlength=k)
-        return out
-    return j @ quantizer.soft_assignment
+        return cell_joints(joint, quantizer.hard_assignment, quantizer.num_cells)
+    return joint.entries @ quantizer.soft_assignment
 
 
 def push_to_clusters(joint: JointDistribution, quantizer: Quantizer) -> ClusterJoints:

@@ -59,6 +59,22 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert "joint_xy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("overrides", "key"),
+        [
+            ({"joint_xy": [[0.20, 0.15, 0.05, float("nan")], [0.05, 0.10, 0.20, 0.15]]}, "joint_xy"),
+            ({"channel": [[0.9, float("nan")], [0.1, 0.9]]}, "channel"),
+            ({"beta": float("inf")}, "beta"),
+        ],
+    )
+    def test_non_finite_value_exits_2_naming_key(self, tmp_path, capsys, overrides, key):
+        path = write_doc(tmp_path, e1_doc(**overrides))  # json writes NaN / Infinity
+        for argv in (["solve", path, "--solver", "iterative"], ["solve", path], ["compare", path]):
+            assert main(argv) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {key}: ")
+
     def test_unknown_impurity_exits_2(self, tmp_path, capsys):
         code = main(["solve", write_doc(tmp_path, e1_doc(impurity="variance"))])
         assert code == EXIT_INPUT
@@ -82,7 +98,7 @@ class TestSolve:
         doc = e1_doc(channel=[[0.9, 0.1], [0.1, 0.9]], solver="dp")
         code = main(["solve", write_doc(tmp_path, doc)])
         assert code == EXIT_GUARD
-        assert "identity" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: dp: needs the identity channel\n"
 
     def test_bruteforce_guard_exits_3(self, tmp_path):
         m = 30
@@ -159,6 +175,16 @@ class TestCompare:
         assert results["dp"]["applicable"] is False
         assert results["bruteforce"]["applicable"] is True
         assert results["iterative"]["applicable"] is True
+        assert results["thresholds"]["reason"] == "needs a binary source"
+        assert results["dp"]["reason"] == "needs a binary source"
+
+        noisy = e1_doc(channel=[[0.9, 0.1], [0.1, 0.9]])
+        assert main(["compare", write_doc(tmp_path, noisy, "noisy.json")]) == EXIT_OK
+        results = {r["solver"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+        assert results["thresholds"]["applicable"] is True
+        assert results["dp"] == {
+            "applicable": False, "reason": "needs the identity channel", "solver": "dp"
+        }
 
     def test_large_instance_exits_3(self, tmp_path):
         m = 30

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from chanpart import (
+    DimensionMismatchError,
+    IndexOutOfRangeError,
     OutOfRangeError,
     Quantizer,
     SolverOptions,
@@ -198,3 +200,11 @@ class TestOptionsValidation:
             SolverOptions(initial_assignment=np.array([0, 1]))  # init still "random"
         with pytest.raises(OutOfRangeError):
             SolverOptions(seed=-1)
+
+    def test_bad_initial_assignment_rejected(self, e1_spec):
+        short = SolverOptions(init="provided", initial_assignment=np.array([0, 1]))
+        with pytest.raises(DimensionMismatchError):
+            solve_iterative(e1_spec, short)
+        wide = SolverOptions(init="provided", initial_assignment=np.array([0, 1, 2, 0]))
+        with pytest.raises(IndexOutOfRangeError):
+            solve_iterative(e1_spec, wide)
