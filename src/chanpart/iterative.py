@@ -35,6 +35,13 @@ class SolverOptions:
     farthest from its own cell into an empty cell whenever a sweep converges
     with empty cells left (at most once per cell per restart); the forced
     move may raise the objective, so it is off by default.
+
+    ``tolerance`` ends restarts in both modes.  A sequential sweep whose
+    objective drop is at most ``tolerance`` counts as converged, exactly like
+    a sweep that moves nothing (so ``reseed_empty`` still gets its turn):
+    such a sweep only shuffles symbols between tied cells.  In batch mode a
+    sweep that raises the objective by more than ``tolerance`` trips the
+    cycle guard.
     """
 
     max_iterations: int = 500
@@ -85,12 +92,16 @@ class SolverOptions:
 class _SweepEngine:
     """Mutable per-restart statistics.
 
-    Cluster joints are updated incrementally between moves (one column
-    subtracted, one added); everything downstream is recomputed from the
-    joints after every move, so the numbers match a from-scratch evaluation
-    up to the float dust of the column updates.  ``rebuild`` re-aggregates
-    the joints exactly and is called at every sweep boundary to keep that
-    dust from accumulating.
+    Per move, only what the next distance argmin reads is refreshed: the
+    cluster joints (one column subtracted, one added), the cell masses, the
+    channel outputs and their impurity gradients, and the constraint
+    derivatives when they depend on cell mass (the entropy constraint; for
+    ``none`` and ``linear`` they are fixed and computed once per
+    ``rebuild``).  F, G and the objective are scored by ``score_cells`` only
+    when ``objective`` is read, and the score is cached until the next
+    ``move`` or ``rebuild``.  ``rebuild`` re-aggregates the joints exactly
+    and is called at every sweep boundary to keep the float dust of the
+    column updates from accumulating.
     """
 
     #: Column block size for batch sweeps; keeps temporaries cache- and
@@ -114,6 +125,7 @@ class _SweepEngine:
         self.joint = spec.joint.entries
         self.symbol_mass = spec.joint.symbol_marginal
         self.channel = spec.channel.entries
+        self._mass_dependent_derivs = spec.constraint.kind == "entropy"
         self._posteriors: np.ndarray | None = None
         self.rebuild()
 
@@ -123,17 +135,22 @@ class _SweepEngine:
             self._posteriors = posteriors(self.spec.joint)
         return self._posteriors
 
+    @property
+    def objective(self) -> float:
+        if self._objective is None:
+            self._objective = score_cells(self.spec, self.clusters, self.mass)[3]
+        return self._objective
+
     def rebuild(self) -> None:
         self.clusters = cell_joints(self.spec.joint, self.assignment, self.spec.num_cells)
         self.mass = self.clusters.sum(axis=0)
+        self.derivs = constraint_derivatives(self.spec.constraint, self.mass)
         self._refresh()
 
     def _refresh(self) -> None:
-        outputs, self.F_value, self.G_value, self.objective = score_cells(
-            self.spec, self.clusters, self.mass
-        )
+        self._objective = None
+        outputs = self.clusters @ self.channel
         self.gradients = column_gradients(self.spec.impurity, outputs)
-        self.derivs = constraint_derivatives(self.spec.constraint, self.mass)
 
     def move(self, m: int, target: int) -> None:
         source = int(self.assignment[m])
@@ -145,26 +162,29 @@ class _SweepEngine:
         self.mass[source] = max(self.mass[source] - pm, 0.0)
         self.mass[target] += pm
         self.assignment[m] = target
+        if self._mass_dependent_derivs:
+            self.derivs = constraint_derivatives(self.spec.constraint, self.mass)
         self._refresh()
 
-    def distance_row(self, m: int) -> np.ndarray:
-        s = self.gradients.T @ self.posteriors[:, m]
-        return self.spec.beta * (self.channel @ s) + self.derivs
+    def sweep_sequential(self) -> int:
+        post_t = self.posteriors.T
+        channel = self.channel
+        beta = self.spec.beta
+        assignment = self.assignment
+        changed = 0
+        for m in range(assignment.size):
+            dist = beta * (channel @ (self.gradients.T @ post_t[m])) + self.derivs
+            nearest = int(dist.argmin())
+            if nearest != assignment[m]:
+                self.move(m, nearest)
+                changed += 1
+        return changed
 
     def distance_all(self) -> np.ndarray:
         out = self.channel @ (self.gradients.T @ self.posteriors)
         out *= self.spec.beta
         out += self.derivs[:, None]
         return out
-
-    def sweep_sequential(self) -> int:
-        changed = 0
-        for m in range(self.assignment.size):
-            nearest = int(np.argmin(self.distance_row(m)))
-            if nearest != self.assignment[m]:
-                self.move(m, nearest)
-                changed += 1
-        return changed
 
     def nearest_cells(self) -> np.ndarray:
         """Scaled-distance argmin per symbol, computed in column blocks."""
@@ -259,7 +279,8 @@ def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions):
             # batch updates can cycle; stop and keep the best partition seen
             trace.append(best_obj)
             break
-        if changed == 0:
+        # a sequential sweep that gains at most `tolerance` only shuffles ties
+        if changed == 0 or (sequential and trace[-2] - engine.objective <= opts.tolerance):
             if opts.reseed_empty and engine.reseed_empty_cells(reseeded):
                 trace.append(engine.objective)
                 continue
@@ -274,7 +295,8 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
     """Best locally optimal partition over independent restarts.
 
     Within a restart, statistics updates alternate with nearest-distance
-    reassignment until a sweep changes nothing or ``max_iterations`` is hit.
+    reassignment until a sweep changes nothing, a sequential sweep gains at
+    most ``tolerance``, or ``max_iterations`` is hit.
     The restart with the smallest final objective wins (ties keep the
     earliest restart).  Identical spec and options give a bit-identical
     report.

@@ -119,6 +119,18 @@ def instance_suite(seed: int = 715, count: int = 216) -> tuple[ProblemSpec, ...]
     return tuple(out)
 
 
+def tied_spec(num_symbols: int, num_cells: int) -> ProblemSpec:
+    """Uniform posteriors on an identity relay: every partition has the same objective."""
+    joint = validate_joint([[1.0 / (2 * num_symbols)] * num_symbols] * 2)
+    return ProblemSpec(
+        joint=joint,
+        channel=ChannelMatrix.identity(num_cells),
+        num_cells=num_cells,
+        impurity=ImpuritySpec("entropy"),
+        constraint=ConstraintSpec.none(),
+    )
+
+
 def random_hard_labels(rng: np.random.Generator, spec: ProblemSpec) -> np.ndarray:
     return rng.integers(0, spec.num_cells, size=spec.num_symbols).astype(np.int64)
 

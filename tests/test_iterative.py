@@ -1,5 +1,7 @@
 """Local solver: sweeps, monotonicity, restarts, determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from chanpart import (
     solve_iterative,
 )
 from chanpart.iterative import _SweepEngine
+from chanpart.objective import score_cells
 
 from conftest import (
     binary_entropy,
@@ -23,6 +26,7 @@ from conftest import (
     partition_sets,
     random_hard_labels,
     random_instance,
+    tied_spec,
 )
 
 
@@ -107,6 +111,28 @@ class TestSolveIterative:
         assert forced.objective == pytest.approx(expected, abs=1e-12)
         assert forced.optimality_certificate
 
+    def test_tied_posteriors_stop_after_a_zero_gain_sweep(self):
+        # every partition of uniform posteriors scores the same; sweeps only shuffle ties
+        spec = tied_spec(30, num_cells=4)
+        report = solve_iterative(spec)
+        assert len(report.iterations_used) == 10
+        assert all(sweeps <= 2 for sweeps in report.iterations_used)
+        assert report.optimality_certificate
+
+    def test_zero_gain_sweep_still_reseeds(self):
+        spec = tied_spec(4, num_cells=2)
+        start = np.array([0, 0, 0, 1])
+        plain = solve_iterative(spec, SolverOptions(init="provided", initial_assignment=start))
+        assert plain.iterations_used == (1,)
+        assert len(plain.objective_trace) == 2
+        forced = solve_iterative(
+            spec, SolverOptions(init="provided", initial_assignment=start, reseed_empty=True)
+        )
+        # sweep 1 empties cell 1 and the reseed refills it; sweep 2 empties it again
+        assert forced.iterations_used == (2,)
+        assert len(forced.objective_trace) == 4
+        assert forced.optimality_certificate
+
     def test_surplus_cells_stay_empty(self):
         spec = make_e1_spec(num_cells=6, channel=None)
         report = solve_iterative(spec, SolverOptions(seed=2, restarts=4))
@@ -167,10 +193,11 @@ class TestIncrementalEngine:
 
     def test_matches_fresh_evaluation_after_moves(self):
         rng = np.random.default_rng(66)
-        for _ in range(10):
-            spec = random_instance(rng)
-            if spec.num_cells < 2:
-                continue
+        kinds = [(c, i) for c in ("none", "entropy", "linear") for i in (True, False)]
+        for constraint, identity in kinds * 3:
+            spec = random_instance(
+                rng, constraint=constraint, identity=identity, num_cells=int(rng.integers(2, 4))
+            )
             labels = random_hard_labels(rng, spec)
             engine = _SweepEngine(spec, labels)
             for _ in range(25):
@@ -184,6 +211,22 @@ class TestIncrementalEngine:
                 np.testing.assert_allclose(
                     engine.clusters, fresh.cluster_joints.entries, atol=1e-12
                 )
+                np.testing.assert_allclose(engine.gradients, fresh.output_gradients, atol=1e-12)
+                np.testing.assert_allclose(
+                    engine.derivs, fresh.constraint_derivatives, atol=1e-12
+                )
+
+    def test_objective_is_scored_at_read_not_per_move(self, e1_spec):
+        with mock.patch("chanpart.iterative.score_cells", wraps=score_cells) as scorer:
+            engine = _SweepEngine(e1_spec, np.array([0, 1, 0, 1]))
+            assert scorer.call_count == 0
+            first = engine.objective
+            assert engine.objective == first
+            assert scorer.call_count == 1
+            assert engine.sweep_sequential() == 2
+            assert scorer.call_count == 1
+            assert engine.objective < first
+            assert scorer.call_count == 2
 
 
 class TestOptionsValidation:

@@ -1,0 +1,104 @@
+"""Invariants of the sequential solver on boundary instances, as hypothesis properties.
+
+The instances deliberately leave the interior the other suites use: joint
+entries are small integer counts (so exact zeros and exactly tied posteriors
+are common), the cell count may exceed the symbol count (so cells start and
+stay empty), and the relay may be rank-1 (every cell reaches the same
+outputs, so every distance ties).
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chanpart import (
+    ChannelMatrix,
+    ConstraintSpec,
+    ImpuritySpec,
+    ProblemSpec,
+    Quantizer,
+    SolverOptions,
+    evaluate,
+    solve_iterative,
+    validate_joint,
+)
+from chanpart.iterative import _SweepEngine
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _counts(draw, rows: int, cols: int) -> np.ndarray:
+    """Integer matrix with entries in [0, 3]; an all-zero row gets a 1 in column 0."""
+    raw = np.array(
+        draw(st.lists(st.integers(0, 3), min_size=rows * cols, max_size=rows * cols)),
+        dtype=float,
+    ).reshape(rows, cols)
+    raw[raw.sum(axis=1) == 0, 0] = 1.0
+    return raw
+
+
+@st.composite
+def boundary_instances(draw) -> ProblemSpec:
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 7))
+    k = draw(st.integers(2, 5))
+    columns = _counts(draw, m, n)  # one row per data symbol, zeros allowed
+    joint = validate_joint(columns.T / columns.sum())
+
+    relay = draw(st.sampled_from(("identity", "noisy", "rank-1")))
+    if relay == "identity":
+        channel = ChannelMatrix.identity(k)
+    elif relay == "noisy":
+        rows = _counts(draw, k, draw(st.integers(1, 4)))
+        channel = ChannelMatrix(rows / rows.sum(axis=1, keepdims=True))
+    else:
+        row = _counts(draw, 1, draw(st.integers(1, 4)))
+        channel = ChannelMatrix(np.repeat(row / row.sum(), k, axis=0))
+
+    kind = draw(st.sampled_from(("none", "entropy", "linear")))
+    if kind == "linear":
+        constraint = ConstraintSpec.linear(
+            np.array(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))) / 2.0
+        )
+    else:
+        constraint = ConstraintSpec(kind)
+    return ProblemSpec(
+        joint=joint,
+        channel=channel,
+        num_cells=k,
+        impurity=ImpuritySpec(draw(st.sampled_from(("entropy", "gini")))),
+        constraint=constraint,
+        beta=draw(st.sampled_from((0.1, 1.0, 10.0))),
+    )
+
+
+def _fresh_objective(spec: ProblemSpec, labels: np.ndarray) -> float:
+    return evaluate(spec, Quantizer.hard(labels, spec.num_cells)).objective
+
+
+@PROPERTY_SETTINGS
+@given(spec=boundary_instances(), seed=st.integers(0, 3))
+def test_sequential_moves_never_raise_the_objective(spec, seed):
+    moves = []
+    original_move = _SweepEngine.move
+
+    def recording_move(engine, m, target):
+        before = engine.assignment.copy()
+        original_move(engine, m, target)
+        moves.append((before, engine.assignment.copy()))
+
+    with mock.patch.object(_SweepEngine, "move", recording_move):
+        solve_iterative(spec, SolverOptions(seed=seed, restarts=2))
+    for before, after in moves:
+        assert _fresh_objective(spec, after) <= _fresh_objective(spec, before) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(spec=boundary_instances(), seed=st.integers(0, 3))
+def test_sequential_report_is_certified(spec, seed):
+    report = solve_iterative(spec, SolverOptions(seed=seed, restarts=2))
+    assert report.optimality_certificate
+    assert all(sweeps < SolverOptions().max_iterations for sweeps in report.iterations_used)
+    assert np.all(np.diff(report.objective_trace) <= 1e-12)
