@@ -13,7 +13,14 @@ Three globally exact routes are provided, each with its own validity domain:
 
 Each solver checks its own domain before any work and raises
 ``NotBinaryError`` or ``PreconditionViolatedError`` with a short reason,
-which ``chanpart compare`` reports as the solver's ``reason``.
+which ``chanpart compare`` reports as the solver's ``reason``; the two
+enumerations also refuse more than 2**22 candidates.  They score candidates
+in blocks, summing each cell joint in ascending symbol order as
+``cell_joints`` does and then taking the steps of ``score_cells``, so a
+candidate's objective has the bits of the report's own arithmetic (under a
+linear constraint it may differ in the last bits: a block's masses meet the
+weights in one matrix product).  Ties go to the first candidate in
+enumeration order.
 
 :func:`check_hyperplane_separation` verifies the local-optimality geometry
 of any hard partition: every symbol in an argmin-distance cell and, for
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
@@ -42,17 +49,36 @@ from .objective import (
     certified_report,
     distance_matrix,
     evaluate,
-    score_cells,
 )
-from .probability import Quantizer, cell_joints, posteriors
+from .probability import Quantizer, posteriors
 
-#: Refuse exhaustive enumeration beyond 2**22 assignments.
+#: Refuse exhaustive enumeration beyond 2**22 candidates.
 BRUTEFORCE_BUDGET_BITS = 22.0
 
 #: Tie tolerance for separation certificates.
 SEPARATION_TOL = CERTIFICATE_TOL
 
-_CHUNK = 8192
+#: The enumeration solvers score candidates in blocks of fewer than this many
+#: float64 entries per N x C x max(K, H) array: at 128 KiB and above (glibc's
+#: default mmap threshold) numpy's temporaries page-fault afresh on every block.
+_BLOCK_ENTRIES = 2**14
+
+
+def _block_objectives(spec: ProblemSpec, cells: np.ndarray) -> np.ndarray:
+    """Objectives of an N x C x K stack of cell joints: ``score_cells`` on all C candidates at once."""
+    n, c, _ = cells.shape
+    # multiplying by the identity is exact
+    outputs = cells if spec.channel.is_identity else cells @ spec.channel.entries
+    f_values = column_impurities(spec.impurity, outputs.reshape(n, -1)).reshape(c, -1).sum(axis=1)
+    return spec.beta * f_values + constraint_total(spec.constraint, cells.sum(axis=0))
+
+
+def _label_rows_cells(joint: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """N x C x K cell joints of C label rows, summed in ascending symbol order like ``cell_joints``."""
+    c = len(labels)
+    flat = (labels + k * np.arange(c)[:, None]).ravel()
+    sums = [np.bincount(flat, weights=np.tile(row, c), minlength=c * k) for row in joint]
+    return np.stack(sums, dtype=float).reshape(len(joint), c, k)  # bincount of no symbols is int
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +86,22 @@ _CHUNK = 8192
 # ---------------------------------------------------------------------------
 
 
+def _extend(cells: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Give each of C candidates K children; child d adds the symbol ``column`` to cell d."""
+    n, c, k = cells.shape
+    grown = np.repeat(cells, k, axis=1)
+    grown.reshape(n, c, k * k)[:, :, :: k + 1] += column[:, None, None]
+    return grown
+
+
 def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
     """Exact minimizer over all K^M hard assignments.
 
-    Assignment vectors are enumerated in lexicographic order and ties keep
-    the first (lexicographically smallest) winner.  Refuses instances with
-    more than 2**22 assignments.
+    Assignment vectors are enumerated in lexicographic order, one block per
+    prefix of leading labels: the prefixes' cell joints are built once and
+    each block extends one through the remaining symbols.  The winner is the
+    first assignment in that order whose objective, in the report's
+    arithmetic, is the smallest.  Refuses more than 2**22 assignments.
     """
     m, k = spec.num_symbols, spec.num_cells
     bits = m * math.log2(k) if k > 1 else 0.0
@@ -73,34 +109,26 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
         raise InstanceTooLargeError(
             f"{k}^{m} assignments exceed the enumeration budget of 2^{BRUTEFORCE_BUDGET_BITS:.0f}"
         )
-    total = k**m
     joint = spec.joint.entries
-    channel = spec.channel.entries
-    eye = np.eye(k)
+    width = spec.num_sources * max(k, spec.channel.num_outputs)
+    low = 1  # trailing symbols enumerated inside a block
+    while k > 1 and low < m and width * k ** (low + 1) < _BLOCK_ENTRIES:
+        low += 1
     powers = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    heads = np.arange(k ** (m - low))[:, None] // powers[low:] % k
+    prefixes = _label_rows_cells(joint[:, : m - low], heads, k)
 
-    best_obj = math.inf
-    best_labels: np.ndarray | None = None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        labels = (idx[:, None] // powers[None, :]) % k  # (C, M), lex order
-        onehot = eye[labels]  # (C, M, K)
-        clusters = np.einsum("nm,cmk->cnk", joint, onehot)  # (C, N, K)
-        masses = clusters.sum(axis=1)  # (C, K)
-        outputs = clusters @ channel  # (C, N, H)
-        c, n, h = outputs.shape
-        f_values = (
-            column_impurities(spec.impurity, outputs.transpose(1, 0, 2).reshape(n, c * h))
-            .reshape(c, h)
-            .sum(axis=1)
-        )
-        objs = spec.beta * f_values + np.asarray(constraint_total(spec.constraint, masses))
+    best_obj, best_index = math.inf, None
+    for p in range(len(heads)):
+        cells = prefixes[:, p : p + 1]
+        for s in range(m - low, m):
+            cells = _extend(cells, joint[:, s])
+        objs = _block_objectives(spec, cells)
         pick = int(np.argmin(objs))
-        if objs[pick] < best_obj:
-            best_obj = float(objs[pick])
-            best_labels = labels[pick].astype(np.int64)
+        if best_index is None or objs[pick] < best_obj:
+            best_obj, best_index = objs[pick], p * k**low + pick
 
-    return certified_report(spec, best_labels, "bruteforce")
+    return certified_report(spec, best_index // powers % k, "bruteforce")
 
 
 # ---------------------------------------------------------------------------
@@ -114,33 +142,50 @@ def _sorted_posterior_order(spec: ProblemSpec) -> np.ndarray:
     return np.lexsort((np.arange(spec.num_symbols), first))
 
 
+def _interval_labellings(m: int, k: int, order: np.ndarray, block: int):
+    """Label rows of every split of ``order`` into 1..K intervals times every
+    injective interval-to-cell labelling, in enumeration order (interval
+    count, then cuts, then labelling), in blocks of at most ``block`` rows."""
+    for intervals in range(1, min(k, m) + 1):
+        cut_sets = combinations(range(1, m), intervals - 1)
+        while chunk := list(islice(cut_sets, max(1, block // math.perm(k, intervals)))):
+            cuts = np.array(chunk, dtype=np.int64).reshape(len(chunk), intervals - 1)
+            interval = (cuts[:, :, None] <= np.arange(m)).sum(axis=1)  # of each sorted position
+            labellings = permutations(range(k), intervals)
+            while cells := list(islice(labellings, block)):
+                cells = np.array(cells, dtype=np.int64)
+                rows = np.empty((len(chunk), len(cells), m), dtype=np.int64)
+                rows[:, :, order] = cells[:, interval].transpose(1, 0, 2)
+                yield rows.reshape(-1, m)
+
+
 def solve_binary_thresholds(spec: ProblemSpec) -> SolveReport:
     """Exact solver for binary sources via ordered interval enumeration.
 
     Sorts the symbols by posterior, then tries every split of the sorted
     order into 1..K contiguous intervals combined with every injective
     interval-to-cell labeling.  Labelings matter because channel rows and
-    linear constraint weights are cell-specific.
+    linear constraint weights are cell-specific.  Candidates are scored in
+    blocks; the winner is the first in enumeration order whose objective, in
+    the report's arithmetic, is the smallest.  Refuses more than 2**22.
     """
     if spec.num_sources != 2:
         raise NotBinaryError("needs a binary source")
     m, k = spec.num_symbols, spec.num_cells
-    order = _sorted_posterior_order(spec)
+    count = sum(math.comb(m - 1, r - 1) * math.perm(k, r) for r in range(1, min(k, m) + 1))
+    if count > 2**BRUTEFORCE_BUDGET_BITS:
+        raise InstanceTooLargeError(
+            f"interval labellings exceed the enumeration budget of 2^{BRUTEFORCE_BUDGET_BITS:.0f}"
+        )
+    joint = spec.joint.entries
+    block = max(1, (_BLOCK_ENTRIES - 1) // (2 * max(k, spec.channel.num_outputs)))
 
-    best_obj = math.inf
-    best_labels: np.ndarray | None = None
-    labels = np.empty(m, dtype=np.int64)
-    for intervals in range(1, min(k, m) + 1):
-        for cuts in combinations(range(1, m), intervals - 1):
-            bounds = (0, *cuts, m)
-            for cells in permutations(range(k), intervals):
-                for i in range(intervals):
-                    labels[order[bounds[i] : bounds[i + 1]]] = cells[i]
-                clusters = cell_joints(spec.joint, labels, k)
-                obj = score_cells(spec, clusters, clusters.sum(axis=0))[3]
-                if obj < best_obj:
-                    best_obj = obj
-                    best_labels = labels.copy()
+    best_obj, best_labels = math.inf, None
+    for labels in _interval_labellings(m, k, _sorted_posterior_order(spec), block):
+        objs = _block_objectives(spec, _label_rows_cells(joint, labels, k))
+        pick = int(np.argmin(objs))
+        if best_labels is None or objs[pick] < best_obj:
+            best_obj, best_labels = objs[pick], labels[pick]
 
     return certified_report(spec, best_labels, "thresholds")
 

@@ -65,6 +65,9 @@ class TestSolve:
             ({"joint_xy": [[0.20, 0.15, 0.05, float("nan")], [0.05, 0.10, 0.20, 0.15]]}, "joint_xy"),
             ({"channel": [[0.9, float("nan")], [0.1, 0.9]]}, "channel"),
             ({"beta": float("inf")}, "beta"),
+            # finite, but beta * F reaches inf: 4 equiprobable sources score 2 bits in one cell
+            ({"joint_xy": [[0.0625] * 4] * 4, "num_cells": 1, "beta": 1e308}, "beta"),
+            ({"beta": 8e307, "constraint": {"kind": "linear", "weights": [1.5e308, 1.5e308]}}, "constraint"),
         ],
     )
     def test_non_finite_value_exits_2_naming_key(self, tmp_path, capsys, overrides, key):
@@ -105,6 +108,15 @@ class TestSolve:
         doc = e1_doc(joint_xy=[[1.0 / (2 * m)] * m, [1.0 / (2 * m)] * m])
         code = main(["solve", write_doc(tmp_path, doc)])
         assert code == EXIT_GUARD
+
+    def test_thresholds_guard_exits_3(self, tmp_path, capsys):
+        m = 2000  # about 1e22 interval labellings into 8 cells
+        doc = e1_doc(joint_xy=[[1.0 / (2 * m)] * m, [1.0 / (2 * m)] * m], num_cells=8)
+        code = main(["solve", write_doc(tmp_path, doc), "--solver", "thresholds"])
+        assert code == EXIT_GUARD
+        assert capsys.readouterr().err == (
+            "error: thresholds: interval labellings exceed the enumeration budget of 2^22\n"
+        )
 
     def test_output_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

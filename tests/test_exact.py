@@ -1,5 +1,8 @@
 """Exact solvers, oracle agreement, and the separation certificate."""
 
+import math
+from itertools import combinations, permutations, product
+
 import numpy as np
 import pytest
 
@@ -20,15 +23,87 @@ from chanpart import (
     threshold_structure,
     validate_joint,
 )
+from chanpart import exact
+from chanpart.objective import score_cells
+from chanpart.probability import cell_joints, posteriors
 
 from conftest import (
+    CONSTRAINT_CHOICES,
+    IMPURITY_CHOICES,
     binary_entropy,
     make_e1_spec,
     partition_sets,
     random_instance,
+    tied_spec,
 )
 
 E1_EXPECTED = 0.5 * binary_entropy(0.7) + 0.5 * binary_entropy(0.3)
+
+
+def _scored(spec, labels):
+    clusters = cell_joints(spec.joint, labels, spec.num_cells)
+    return score_cells(spec, clusters, clusters.sum(axis=0))[3]
+
+
+def oracle_bruteforce(spec):
+    """One candidate at a time: lexicographic labellings, strict ``<`` keeps the first best."""
+    best_obj, best_labels = math.inf, None
+    for labels in product(range(spec.num_cells), repeat=spec.num_symbols):
+        obj = _scored(spec, np.array(labels, dtype=np.int64))
+        if obj < best_obj:
+            best_obj, best_labels = obj, labels
+    return list(best_labels), best_obj
+
+
+def oracle_interval_labellings(order, k):
+    """Every interval split of ``order`` times every injective labelling, one at a time."""
+    m = len(order)
+    labels = np.empty(m, dtype=np.int64)
+    for intervals in range(1, min(k, m) + 1):
+        for cuts in combinations(range(1, m), intervals - 1):
+            bounds = (0, *cuts, m)
+            for cells in permutations(range(k), intervals):
+                for i in range(intervals):
+                    labels[order[bounds[i] : bounds[i + 1]]] = cells[i]
+                yield labels.tolist()
+
+
+def oracle_thresholds(spec):
+    """One candidate at a time, strict ``<`` keeps the first best."""
+    order = np.lexsort((np.arange(spec.num_symbols), posteriors(spec.joint)[0]))
+    best_obj, best_labels = math.inf, None
+    for labels in oracle_interval_labellings(order, spec.num_cells):
+        obj = _scored(spec, np.array(labels, dtype=np.int64))
+        if obj < best_obj:
+            best_obj, best_labels = obj, labels
+    return best_labels, best_obj
+
+
+def _oracle_instances():
+    rng = np.random.default_rng(77)
+    for k, m in ((2, 7), (3, 5), (4, 4)):
+        for impurity in IMPURITY_CHOICES:
+            for constraint in CONSTRAINT_CHOICES:
+                for identity in (True, False):
+                    name = f"{impurity}-{constraint}-{'identity' if identity else 'noisy'}-K{k}-M{m}"
+                    yield pytest.param(
+                        random_instance(
+                            rng, binary=True, identity=identity, impurity=impurity,
+                            constraint=constraint, num_symbols=m, num_cells=k,
+                        ),
+                        id=name,
+                    )
+    yield pytest.param(random_instance(rng, binary=True, num_symbols=6, num_cells=1), id="K1")
+    yield pytest.param(random_instance(rng, binary=True, identity=False, num_symbols=1, num_cells=3), id="M1")
+    yield pytest.param(
+        random_instance(rng, binary=True, identity=False, constraint="linear", num_symbols=2, num_cells=5),
+        id="K-above-M",
+    )
+    yield pytest.param(tied_spec(8, 2), id="all-tied")
+    yield pytest.param(tied_spec(13, 2), id="all-tied-several-blocks")
+
+
+ORACLE_INSTANCES = list(_oracle_instances())
 
 
 class TestBruteforce:
@@ -57,6 +132,29 @@ class TestBruteforce:
         spec = make_e1_spec(num_cells=1)
         report = solve_bruteforce(spec)
         assert report.objective == pytest.approx(1.0, abs=1e-12)
+
+    def test_budget_boundary(self):
+        rng = np.random.default_rng(78)
+        at_budget = random_instance(rng, binary=True, identity=True, num_symbols=22, num_cells=2)
+        report = solve_bruteforce(at_budget)  # exactly 2^22 assignments
+        assert report.objective == solve_binary_thresholds(at_budget).objective
+        with pytest.raises(InstanceTooLargeError):
+            solve_bruteforce(random_instance(rng, binary=True, num_symbols=14, num_cells=3))
+
+    def test_overflowing_objective_still_returns_a_labelling(self):
+        # every assignment scores inf; the first one in lexicographic order wins
+        spec = ProblemSpec(
+            joint=validate_joint([[0.0625] * 4] * 4),
+            channel=ChannelMatrix.identity(2),
+            num_cells=2,
+            impurity=ENTROPY,
+            constraint=ConstraintSpec.none(),
+            beta=1e308,
+        )
+        with np.errstate(over="ignore"):
+            report = solve_bruteforce(spec)
+        np.testing.assert_array_equal(report.assignment, [0, 0, 0, 0])
+        assert report.objective == math.inf
 
     def test_size_guard(self):
         rng = np.random.default_rng(70)
@@ -100,6 +198,12 @@ class TestBinaryThresholds:
         report = solve_binary_thresholds(spec)
         assert report.objective == pytest.approx(binary_entropy(0.5), abs=1e-12)
         assert np.unique(report.assignment).size == 1
+
+    @pytest.mark.parametrize("block", [1, 5, 4096])
+    def test_candidates_come_in_per_candidate_order(self, block):
+        order = np.array([3, 0, 5, 1, 4, 2])
+        rows = np.concatenate(list(exact._interval_labellings(6, 4, order, block)))
+        assert rows.tolist() == list(oracle_interval_labellings(order, 4))
 
     def test_rejects_wider_sources(self):
         rng = np.random.default_rng(71)
@@ -145,6 +249,43 @@ class TestDpIdentity:
 
 
 class TestOracleAgreement:
+    @pytest.mark.parametrize("block_entries", [None, 64], ids=["blocks", "tiny-blocks"])
+    @pytest.mark.parametrize("spec", ORACLE_INSTANCES)
+    def test_bruteforce_matches_per_candidate_oracle(self, spec, block_entries, monkeypatch):
+        if block_entries is not None:  # many blocks, so first-wins must hold across them
+            monkeypatch.setattr(exact, "_BLOCK_ENTRIES", block_entries)
+        labels, objective = oracle_bruteforce(spec)
+        report = solve_bruteforce(spec)
+        assert report.assignment.tolist() == labels
+        assert report.objective.hex() == objective.hex()
+
+    @pytest.mark.parametrize("spec", ORACLE_INSTANCES)
+    def test_every_candidate_scores_as_score_cells(self, spec):
+        joint, k = spec.joint.entries, spec.num_cells
+        labels = np.array(list(product(range(k), repeat=spec.num_symbols)))
+        cells = exact._label_rows_cells(joint, labels, k)
+        extended = np.zeros((len(joint), 1, k))
+        for column in joint.T:
+            extended = exact._extend(extended, column)
+        np.testing.assert_array_equal(extended, cells)  # both sum in ascending symbol order
+        blocked = exact._block_objectives(spec, cells)
+        expected = np.array([_scored(spec, row) for row in labels])
+        if spec.constraint.kind == "linear":
+            # masses @ weights is a BLAS gemv here and a dot in score_cells: they may round apart
+            np.testing.assert_allclose(blocked, expected, rtol=4 * np.finfo(float).eps, atol=0)
+        else:
+            assert [v.hex() for v in blocked.tolist()] == [v.hex() for v in expected.tolist()]
+
+    @pytest.mark.parametrize("block_entries", [None, 64], ids=["blocks", "tiny-blocks"])
+    @pytest.mark.parametrize("spec", ORACLE_INSTANCES)
+    def test_thresholds_matches_per_candidate_oracle(self, spec, block_entries, monkeypatch):
+        if block_entries is not None:  # many blocks, some splitting one cut's labellings
+            monkeypatch.setattr(exact, "_BLOCK_ENTRIES", block_entries)
+        labels, objective = oracle_thresholds(spec)
+        report = solve_binary_thresholds(spec)
+        assert report.assignment.tolist() == labels
+        assert report.objective.hex() == objective.hex()
+
     def test_exact_solvers_match_bruteforce(self):
         rng = np.random.default_rng(73)
         for _ in range(40):
