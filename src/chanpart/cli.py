@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .exact import solve_binary_thresholds, solve_bruteforce, solve_dp_identity
-from .impurity import CONSTRAINT_KINDS, IMPURITY_KINDS, ConstraintSpec, ImpuritySpec, cell_impurity
+from .impurity import CONSTRAINT_KINDS, IMPURITY_KINDS, ConstraintSpec, ImpuritySpec, gradient_bound
 from .iterative import SolveReport, SolverOptions, solve_iterative
 from .objective import ProblemSpec, evaluate
 from .probability import ChannelMatrix, posteriors, validate_channel, validate_joint
@@ -41,8 +41,8 @@ TOP_KEYS = ("format", "joint_xy", "channel", "num_cells", "beta", "impurity", "c
 #: Largest accepted objective gap between exact solvers in ``compare``.
 AGREEMENT_TOL = 1e-9
 
-#: Bound on any partition's objective that a problem file must keep; half the
-#: float range leaves room for rounding in F and G.
+#: Bound on any partition's objective and any symbol-to-cell distance that a
+#: problem file must keep; half the float range leaves room for their differences.
 OBJECTIVE_LIMIT = sys.float_info.max / 2
 
 
@@ -146,11 +146,12 @@ def parse_problem_document(doc) -> ProblemFile:
         )
     except ChanpartError as exc:
         raise InputFileError(f"problem: {exc}") from exc
-    # any partition has beta * F <= beta * impurity(p_X), F being superadditive, and |G| <= max |w|
-    f_bound = spec.beta * cell_impurity(impurity, joint.source_marginal)
-    if not f_bound < OBJECTIVE_LIMIT:
+    # beta * F <= beta * impurity(p_X) (F is superadditive) and beta times a distance's gradient
+    # term are both within beta * gradient_bound; a linear constraint adds at most max |w|
+    scaled = spec.beta * gradient_bound(impurity, joint.num_sources)
+    if not scaled < OBJECTIVE_LIMIT:
         raise InputFileError(f"beta: {beta!r} is too large: the objective could overflow")
-    if kind == "linear" and not f_bound + float(np.abs(constraint.weights).max()) < OBJECTIVE_LIMIT:
+    if kind == "linear" and not scaled + float(np.abs(constraint.weights).max()) < OBJECTIVE_LIMIT:
         raise InputFileError("constraint: linear weights too large: the objective could overflow")
 
     solver = _require(doc, "solver")

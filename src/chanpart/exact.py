@@ -58,9 +58,10 @@ BRUTEFORCE_BUDGET_BITS = 22.0
 #: Tie tolerance for separation certificates.
 SEPARATION_TOL = CERTIFICATE_TOL
 
-#: The enumeration solvers score candidates in blocks of fewer than this many
-#: float64 entries per N x C x max(K, H) array: at 128 KiB and above (glibc's
-#: default mmap threshold) numpy's temporaries page-fault afresh on every block.
+#: The enumeration solvers work in blocks of fewer than this many entries per
+#: N x C x max(K, H) cell-joint array and per array of label rows (or of one
+#: row, when one alone is larger): at 128 KiB and above (glibc's default mmap
+#: threshold) numpy's temporaries page-fault afresh on every block.
 _BLOCK_ENTRIES = 2**14
 
 
@@ -98,10 +99,11 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
     """Exact minimizer over all K^M hard assignments.
 
     Assignment vectors are enumerated in lexicographic order, one block per
-    prefix of leading labels: the prefixes' cell joints are built once and
-    each block extends one through the remaining symbols.  The winner is the
-    first assignment in that order whose objective, in the report's
-    arithmetic, is the smallest.  Refuses more than 2**22 assignments.
+    prefix of leading labels: the prefixes' cell joints are built a group at
+    a time and each block extends one through the remaining symbols.  The
+    winner is the first assignment in that order whose objective, in the
+    report's arithmetic, is the smallest.  Refuses more than 2**22
+    assignments.
     """
     m, k = spec.num_symbols, spec.num_cells
     bits = m * math.log2(k) if k > 1 else 0.0
@@ -115,18 +117,21 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
     while k > 1 and low < m and width * k ** (low + 1) < _BLOCK_ENTRIES:
         low += 1
     powers = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    heads = np.arange(k ** (m - low))[:, None] // powers[low:] % k
-    prefixes = _label_rows_cells(joint[:, : m - low], heads, k)
+    prefixes = k ** (m - low)
+    group = max(1, (_BLOCK_ENTRIES - 1) // width)  # prefixes whose cell joints are built at once
 
     best_obj, best_index = math.inf, None
-    for p in range(len(heads)):
-        cells = prefixes[:, p : p + 1]
-        for s in range(m - low, m):
-            cells = _extend(cells, joint[:, s])
-        objs = _block_objectives(spec, cells)
-        pick = int(np.argmin(objs))
-        if best_index is None or objs[pick] < best_obj:
-            best_obj, best_index = objs[pick], p * k**low + pick
+    for first in range(0, prefixes, group):
+        heads = np.arange(first, min(first + group, prefixes))[:, None] // powers[low:] % k
+        head_cells = _label_rows_cells(joint[:, : m - low], heads, k)
+        for p in range(len(heads)):
+            cells = head_cells[:, p : p + 1]
+            for s in range(m - low, m):
+                cells = _extend(cells, joint[:, s])
+            objs = _block_objectives(spec, cells)
+            pick = int(np.argmin(objs))
+            if best_index is None or objs[pick] < best_obj:
+                best_obj, best_index = objs[pick], (first + p) * k**low + pick
 
     return certified_report(spec, best_index // powers % k, "bruteforce")
 
@@ -142,21 +147,27 @@ def _sorted_posterior_order(spec: ProblemSpec) -> np.ndarray:
     return np.lexsort((np.arange(spec.num_symbols), first))
 
 
-def _interval_labellings(m: int, k: int, order: np.ndarray, block: int):
-    """Label rows of every split of ``order`` into 1..K intervals times every
-    injective interval-to-cell labelling, in enumeration order (interval
-    count, then cuts, then labelling), in blocks of at most ``block`` rows."""
+def _interval_blocks(joint: np.ndarray, k: int, rank: np.ndarray, block: int):
+    """Cell joints of every split of the sorted order (``rank`` is each symbol's
+    position in it) into 1..K intervals times every injective interval-to-cell
+    labelling, in blocks of at most ``block`` in enumeration order (interval
+    count, cuts, labelling).  Yields (cells, interval of each symbol per cut,
+    labellings); candidate c is cut c // len(labellings) under labelling
+    c % len(labellings).  A cell sums its interval in ascending symbol order."""
+    n, m = joint.shape
     for intervals in range(1, min(k, m) + 1):
         cut_sets = combinations(range(1, m), intervals - 1)
-        while chunk := list(islice(cut_sets, max(1, block // math.perm(k, intervals)))):
+        cuts_per_chunk = max(1, min(block // math.perm(k, intervals), (_BLOCK_ENTRIES - 1) // m))
+        while chunk := list(islice(cut_sets, cuts_per_chunk)):
             cuts = np.array(chunk, dtype=np.int64).reshape(len(chunk), intervals - 1)
-            interval = (cuts[:, :, None] <= np.arange(m)).sum(axis=1)  # of each sorted position
+            interval = (cuts[:, :, None] <= rank).sum(axis=1)  # of each symbol
+            interval_joints = _label_rows_cells(joint, interval, intervals)
             labellings = permutations(range(k), intervals)
-            while cells := list(islice(labellings, block)):
-                cells = np.array(cells, dtype=np.int64)
-                rows = np.empty((len(chunk), len(cells), m), dtype=np.int64)
-                rows[:, :, order] = cells[:, interval].transpose(1, 0, 2)
-                yield rows.reshape(-1, m)
+            while part := list(islice(labellings, block)):
+                part = np.array(part, dtype=np.int64)  # the cell of each interval
+                cells = np.zeros((n, len(chunk), len(part), k))
+                cells[:, :, np.arange(len(part))[:, None], part] = interval_joints[:, :, None]
+                yield cells.reshape(n, -1, k), interval, part
 
 
 def solve_binary_thresholds(spec: ProblemSpec) -> SolveReport:
@@ -165,9 +176,11 @@ def solve_binary_thresholds(spec: ProblemSpec) -> SolveReport:
     Sorts the symbols by posterior, then tries every split of the sorted
     order into 1..K contiguous intervals combined with every injective
     interval-to-cell labeling.  Labelings matter because channel rows and
-    linear constraint weights are cell-specific.  Candidates are scored in
-    blocks; the winner is the first in enumeration order whose objective, in
-    the report's arithmetic, is the smallest.  Refuses more than 2**22.
+    linear constraint weights are cell-specific.  Each cut's interval joints
+    are built once and placed in the cells of all its labellings; candidates
+    are scored in blocks, and the winner is the first in enumeration order
+    whose objective, in the report's arithmetic, is the smallest.  Refuses
+    more than 2**22.
     """
     if spec.num_sources != 2:
         raise NotBinaryError("needs a binary source")
@@ -177,15 +190,16 @@ def solve_binary_thresholds(spec: ProblemSpec) -> SolveReport:
         raise InstanceTooLargeError(
             f"interval labellings exceed the enumeration budget of 2^{BRUTEFORCE_BUDGET_BITS:.0f}"
         )
-    joint = spec.joint.entries
     block = max(1, (_BLOCK_ENTRIES - 1) // (2 * max(k, spec.channel.num_outputs)))
 
     best_obj, best_labels = math.inf, None
-    for labels in _interval_labellings(m, k, _sorted_posterior_order(spec), block):
-        objs = _block_objectives(spec, _label_rows_cells(joint, labels, k))
+    rank = np.argsort(_sorted_posterior_order(spec))
+    for cells, interval, labellings in _interval_blocks(spec.joint.entries, k, rank, block):
+        objs = _block_objectives(spec, cells)
         pick = int(np.argmin(objs))
         if best_labels is None or objs[pick] < best_obj:
-            best_obj, best_labels = objs[pick], labels[pick]
+            cut, labelling = divmod(pick, len(labellings))
+            best_obj, best_labels = objs[pick], labellings[labelling][interval[cut]]
 
     return certified_report(spec, best_labels, "thresholds")
 

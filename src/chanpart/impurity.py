@@ -159,6 +159,14 @@ def column_gradients(spec: ImpuritySpec, columns) -> np.ndarray:
     return out[:, 0] if one_dim else out
 
 
+def gradient_bound(spec: ImpuritySpec, num_sources: int) -> float:
+    """Bound on |column_gradients| and on the impurity of any column of at most
+    unit mass: log2(N + 1 / GRADIENT_CLAMP) > log2 N for entropy; 2 for Gini."""
+    if spec.kind == "entropy":
+        return float(np.log2(num_sources + 1.0 / GRADIENT_CLAMP))
+    return 2.0
+
+
 def cell_gradient(spec: ImpuritySpec, v) -> np.ndarray:
     """Gradient of :func:`cell_impurity` at a single cell vector."""
     a = np.asarray(v, dtype=float)

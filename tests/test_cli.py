@@ -67,7 +67,17 @@ class TestSolve:
             ({"beta": float("inf")}, "beta"),
             # finite, but beta * F reaches inf: 4 equiprobable sources score 2 bits in one cell
             ({"joint_xy": [[0.0625] * 4] * 4, "num_cells": 1, "beta": 1e308}, "beta"),
-            ({"beta": 8e307, "constraint": {"kind": "linear", "weights": [1.5e308, 1.5e308]}}, "constraint"),
+            # beta passes, but beta * F + G reaches inf
+            ({"beta": 2e306, "constraint": {"kind": "linear", "weights": [1.79e308, 1.79e308]}}, "constraint"),
+            # beta * F is finite, but beta times an entropy gradient (up to ~40 bits) is not
+            (
+                {
+                    "joint_xy": [[0.2, 0.15, 0.0, 0.1], [0.05, 0.1, 0.25, 0.15]],
+                    "num_cells": 3,
+                    "beta": 5e307,
+                },
+                "beta",
+            ),
         ],
     )
     def test_non_finite_value_exits_2_naming_key(self, tmp_path, capsys, overrides, key):

@@ -106,6 +106,33 @@ def _oracle_instances():
 ORACLE_INSTANCES = list(_oracle_instances())
 
 
+class _Stop(Exception):
+    pass
+
+
+def first_block_sizes(monkeypatch, solve, spec, calls):
+    """(rows, entries) of the label and cell-joint arrays of ``solve``'s first ``calls`` blocks."""
+    sizes = []
+    label_rows_cells, block_objectives = exact._label_rows_cells, exact._block_objectives
+
+    def built(joint, labels, k):
+        cells = label_rows_cells(joint, labels, k)
+        sizes.extend([(len(labels), labels.size), (cells.shape[1], cells.size)])
+        return cells
+
+    def scored(spec, cells):
+        sizes.append((cells.shape[1], cells.size))
+        if len(sizes) >= calls:
+            raise _Stop
+        return block_objectives(spec, cells)
+
+    monkeypatch.setattr(exact, "_label_rows_cells", built)
+    monkeypatch.setattr(exact, "_block_objectives", scored)
+    with pytest.raises(_Stop):
+        solve(spec)
+    return sizes
+
+
 class TestBruteforce:
     def test_e1_global_optimum(self, e1_spec):
         report = solve_bruteforce(e1_spec)
@@ -156,6 +183,20 @@ class TestBruteforce:
         np.testing.assert_array_equal(report.assignment, [0, 0, 0, 0])
         assert report.objective == math.inf
 
+    def test_wide_source_blocks_stay_small(self, monkeypatch):
+        # 64 sources: the leading-label prefixes' cell joints come a group at a time
+        rng = np.random.default_rng(79)
+        spec = ProblemSpec(
+            joint=validate_joint(rng.dirichlet(np.ones(64 * 20)).reshape(64, 20)),
+            channel=ChannelMatrix.identity(2),
+            num_cells=2,
+            impurity=ENTROPY,
+            constraint=ConstraintSpec.none(),
+            beta=1.0,
+        )
+        sizes = first_block_sizes(monkeypatch, solve_bruteforce, spec, calls=300)
+        assert max(entries for _, entries in sizes) < exact._BLOCK_ENTRIES
+
     def test_size_guard(self):
         rng = np.random.default_rng(70)
         raw = rng.random((2, 30)) + 0.1
@@ -201,9 +242,22 @@ class TestBinaryThresholds:
 
     @pytest.mark.parametrize("block", [1, 5, 4096])
     def test_candidates_come_in_per_candidate_order(self, block):
+        joint = np.random.default_rng(77).random((2, 6))
         order = np.array([3, 0, 5, 1, 4, 2])
-        rows = np.concatenate(list(exact._interval_labellings(6, 4, order, block)))
-        assert rows.tolist() == list(oracle_interval_labellings(order, 4))
+        rows = []
+        for cells, interval, labellings in exact._interval_blocks(joint, 4, np.argsort(order), block):
+            labels = labellings[:, interval].transpose(1, 0, 2).reshape(-1, 6)
+            assert len(labels) <= block
+            # each cell joint sums its symbols in ascending order, as cell_joints does
+            np.testing.assert_array_equal(cells, exact._label_rows_cells(joint, labels, 4))
+            rows.extend(labels.tolist())
+        assert rows == list(oracle_interval_labellings(order, 4))
+
+    @pytest.mark.parametrize("m", [2000, 100_000])
+    def test_long_label_rows_keep_blocks_small(self, m, monkeypatch):
+        # every cut is an M-long row of intervals: a block holds fewer than _BLOCK_ENTRIES // M
+        sizes = first_block_sizes(monkeypatch, solve_binary_thresholds, tied_spec(m, 2), calls=30)
+        assert all(rows == 1 or entries < exact._BLOCK_ENTRIES for rows, entries in sizes)
 
     def test_rejects_wider_sources(self):
         rng = np.random.default_rng(71)
