@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -86,7 +87,7 @@ def parse_problem_document(doc) -> ProblemFile:
         joint = validate_joint(np.asarray(_require(doc, "joint_xy"), dtype=float))
     except InputFileError:
         raise
-    except (ChanpartError, ValueError, TypeError) as exc:
+    except (ChanpartError, ValueError, TypeError, OverflowError) as exc:
         raise InputFileError(f"joint_xy: {exc}") from exc
 
     num_cells = _positive_int(_require(doc, "num_cells"), "num_cells")
@@ -94,17 +95,21 @@ def parse_problem_document(doc) -> ProblemFile:
     if "channel" in doc and doc["channel"] is not None:
         try:
             channel = validate_channel(np.asarray(doc["channel"], dtype=float))
-        except (ChanpartError, ValueError, TypeError) as exc:
+        except (ChanpartError, ValueError, TypeError, OverflowError) as exc:
             raise InputFileError(f"channel: {exc}") from exc
         if channel.num_inputs != num_cells:
             raise InputFileError(
                 f"channel: has {channel.num_inputs} rows but num_cells is {num_cells}"
             )
     else:
-        channel = ChannelMatrix.identity(num_cells)
+        try:
+            channel = ChannelMatrix.identity(num_cells)
+        except ValueError as exc:  # past numpy's largest dimension
+            raise InputFileError(f"num_cells: too large for an identity channel: {exc}") from exc
 
     beta = _require(doc, "beta")
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0 < beta < math.inf:
+    # an int past the float range compares exactly, so float(beta) below cannot overflow
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0 < beta <= sys.float_info.max:
         raise InputFileError(f"beta: expected a positive finite number, got {beta!r}")
 
     impurity_name = _require(doc, "impurity")
@@ -132,7 +137,7 @@ def parse_problem_document(doc) -> ProblemFile:
             constraint = ConstraintSpec(kind)
     except InputFileError:
         raise
-    except (ChanpartError, ValueError, TypeError) as exc:
+    except (ChanpartError, ValueError, TypeError, OverflowError) as exc:
         raise InputFileError(f"constraint: {exc}") from exc
 
     try:
@@ -194,6 +199,9 @@ def parse_problem_file(path: str) -> ProblemFile:
         raise InputFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFileError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    # an integer past Python's digit limit, bytes that are not UTF-8, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise InputFileError(f"{path}: parse error: {exc}") from exc
     return parse_problem_document(doc)
 
 
@@ -242,7 +250,7 @@ def report_document(spec: ProblemSpec, report: SolveReport) -> dict:
         "objective": report.objective,
         "F_value": report.F_value,
         "G_value": report.G_value,
-        "assignment": [int(label) + 1 for label in report.assignment],
+        "assignment": (report.assignment + 1).tolist(),
         "cell_masses": state.cluster_joints.cluster_mass.tolist(),
         "output_joint": state.output_joints.entries.tolist(),
         "optimality_certificate": report.optimality_certificate,
@@ -251,8 +259,57 @@ def report_document(spec: ProblemSpec, report: SolveReport) -> dict:
     }
 
 
+#: Without ``indent`` json uses its C encoder; ``_encode`` indents its output.
+_NUMBERS = json.JSONEncoder(allow_nan=False)
+
+
+def _encode(value, indent: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``, byte for byte,
+    for documents with string keys, with ``value`` nested at ``indent``.
+
+    A list of plain ints and floats is encoded in one bulk call instead of
+    one Python call per item; everything else takes json's own scalar forms.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted(value.items())
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in items])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = {*map(type, value)}
+        if kinds == {int}:
+            # labels: few distinct values, each formatted once
+            text = {item: int.__repr__(item) for item in set(value)}
+            body = sep.join(map(text.__getitem__, value))
+        elif kinds <= {int, float}:
+            body = _NUMBERS.encode(value)[1:-1].replace(", ", sep)
+        else:
+            body = sep.join([_encode(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _encode(doc, "") + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:

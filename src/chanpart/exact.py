@@ -41,7 +41,7 @@ from .errors import (
     NotBinaryError,
     PreconditionViolatedError,
 )
-from .impurity import column_impurities, constraint_total
+from .impurity import _column_impurities, constraint_total
 from .objective import (
     CERTIFICATE_TOL,
     ProblemSpec,
@@ -70,7 +70,8 @@ def _block_objectives(spec: ProblemSpec, cells: np.ndarray) -> np.ndarray:
     n, c, _ = cells.shape
     # multiplying by the identity is exact
     outputs = cells if spec.channel.is_identity else cells @ spec.channel.entries
-    f_values = column_impurities(spec.impurity, outputs.reshape(n, -1)).reshape(c, -1).sum(axis=1)
+    # sums of nonnegative joint entries through a nonnegative relay need no check
+    f_values = _column_impurities(spec.impurity, outputs.reshape(n, -1)).reshape(c, -1).sum(axis=1)
     return spec.beta * f_values + constraint_total(spec.constraint, cells.sum(axis=0))
 
 
@@ -227,8 +228,9 @@ def solve_dp_identity(spec: ProblemSpec) -> SolveReport:
 
     def interval_costs(a_first: int, b: int) -> np.ndarray:
         """Costs of intervals [a, b) for all a in [a_first, b)."""
+        # differences of nondecreasing prefix sums are nonnegative
         v = prefix[:, b][:, None] - prefix[:, a_first:b]
-        f_values = column_impurities(spec.impurity, v)
+        f_values = _column_impurities(spec.impurity, v)
         g_values = np.asarray(constraint_total(spec.constraint, v.sum(axis=0)[:, None]))
         return spec.beta * f_values + g_values
 

@@ -13,7 +13,9 @@ gradient, which diverges at the boundary, stays finite and comparable.
 
 The ``column_*`` functions are the vectorized kernels: they score many cells
 in one call and are the single code path behind the scalar operations, the
-objective evaluator, and the enumeration solvers.
+objective evaluator, and the solvers.  They reject negative entries; the
+solvers' own columns are nonnegative by construction and go straight to the
+unchecked ``_column_*`` kernels behind them.
 """
 
 from __future__ import annotations
@@ -117,8 +119,11 @@ def column_impurities(spec: ImpuritySpec, columns) -> np.ndarray:
     entropy kind uses the 0 * log 0 = 0 convention.
     """
     v = _checked_columns(columns, NegativeEntryError)
-    if v.ndim == 1:
-        v = v[:, None]
+    return _column_impurities(spec, v[:, None] if v.ndim == 1 else v)
+
+
+def _column_impurities(spec: ImpuritySpec, v: np.ndarray) -> np.ndarray:
+    """:func:`column_impurities` of an N x C array already known to be nonnegative."""
     w = v.sum(axis=0)
     if spec.kind == "entropy":
         logv = np.log2(np.where(v > 0.0, v, 1.0))
@@ -147,16 +152,18 @@ def column_gradients(spec: ImpuritySpec, columns) -> np.ndarray:
     for Gini it is 1 - 2 v_n / w + sum(v^2) / w^2.
     """
     v = _checked_columns(columns, NonPositiveEntryError)
-    one_dim = v.ndim == 1
-    if one_dim:
-        v = v[:, None]
-    v = np.maximum(v, GRADIENT_CLAMP)
+    if v.ndim == 1:
+        return _column_gradients(spec, v[:, None])[:, 0]
+    return _column_gradients(spec, v)
+
+
+def _column_gradients(spec: ImpuritySpec, columns: np.ndarray) -> np.ndarray:
+    """:func:`column_gradients` of an N x C array already known to be nonnegative."""
+    v = np.maximum(columns, GRADIENT_CLAMP)
     w = v.sum(axis=0)
     if spec.kind == "entropy":
-        out = np.log2(w[None, :]) - np.log2(v)
-    else:
-        out = 1.0 - 2.0 * v / w[None, :] + ((v * v).sum(axis=0) / (w * w))[None, :]
-    return out[:, 0] if one_dim else out
+        return np.log2(w[None, :]) - np.log2(v)
+    return 1.0 - 2.0 * v / w[None, :] + ((v * v).sum(axis=0) / (w * w))[None, :]
 
 
 def gradient_bound(spec: ImpuritySpec, num_sources: int) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, OutOfRangeError
-from .impurity import column_gradients, constraint_derivatives
+from .impurity import _column_gradients, constraint_derivatives
 # CERTIFICATE_TOL and SolveReport are also imported from this module by callers
 from .objective import CERTIFICATE_TOL, ProblemSpec, SolveReport, certified_report, score_cells
 from .probability import Quantizer, cell_joints, posteriors
@@ -149,8 +149,8 @@ class _SweepEngine:
 
     def _refresh(self) -> None:
         self._objective = None
-        outputs = self.clusters @ self.channel
-        self.gradients = column_gradients(self.spec.impurity, outputs)
+        # clusters and channel are nonnegative, so the outputs need no check
+        self.gradients = _column_gradients(self.spec.impurity, self.clusters @ self.channel)
 
     def move(self, m: int, target: int) -> None:
         source = int(self.assignment[m])

@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanpart.cli import (
     EXIT_GUARD,
     EXIT_INPUT,
     EXIT_OK,
+    _dump,
     main,
     parse_problem_document,
     parse_problem_file,
@@ -78,6 +81,12 @@ class TestSolve:
                 },
                 "beta",
             ),
+            # integers past the float range, or past numpy's largest dimension
+            ({"joint_xy": [[10**400, 0.15, 0.05, 0.10], [0.05, 0.10, 0.20, 0.15]]}, "joint_xy"),
+            ({"channel": [[10**400, 0], [0, 1]]}, "channel"),
+            ({"beta": 10**400}, "beta"),
+            ({"num_cells": 10**400}, "num_cells"),
+            ({"constraint": {"kind": "linear", "weights": [10**400, 1]}}, "constraint"),
         ],
     )
     def test_non_finite_value_exits_2_naming_key(self, tmp_path, capsys, overrides, key):
@@ -87,6 +96,25 @@ class TestSolve:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: {key}: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # past the interpreter's limit on integer digits, so json cannot decode it
+            b'{"format": 1, "num_cells": ' + b"9" * 5001 + b"}",
+            b'{"format": 1, "solver": "\xff"}',  # not UTF-8
+            b'{"format": 1, "joint_xy": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["5001-digit-int", "not-utf8", "deep-nesting"],
+    )
+    def test_undecodable_file_exits_2_naming_file(self, tmp_path, capsys, text):
+        path = tmp_path / "problem.json"
+        path.write_bytes(text)
+        for command in ("solve", "compare"):
+            assert main([command, str(path)]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}: parse error: ")
 
     def test_unknown_impurity_exits_2(self, tmp_path, capsys):
         code = main(["solve", write_doc(tmp_path, e1_doc(impurity="variance"))])
@@ -256,3 +284,54 @@ class TestProblemFileRoundTrip:
         code = main(["solve", write_doc(tmp_path, doc)])
         assert code == EXIT_INPUT
         assert "channel" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The report writer against json's own indented encoder
+# ---------------------------------------------------------------------------
+
+TEXTS = st.one_of(
+    st.text(), st.sampled_from(["", ", ", "a, b", '"', '\\"', "\x00\x1f\n\t", "é", "\u2028", "😀"])
+)
+NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1e16, 1e-7, 0.1]),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, TEXTS)
+DOCUMENTS = st.dictionaries(
+    TEXTS,
+    st.recursive(
+        SCALARS,
+        lambda children: st.lists(children, max_size=6)
+        | st.lists(NUMBERS, max_size=6)  # the bulk path for numbers
+        | st.dictionaries(TEXTS, children, max_size=4),
+        max_leaves=25,
+    ),
+    max_size=5,
+)
+
+
+def json_dump(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class TestReportEncoder:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(doc=DOCUMENTS)
+    def test_matches_json_indented_sorted_bytes(self, doc):
+        assert _dump(doc) == json_dump(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "place",
+        [lambda x: x, lambda x: [x], lambda x: [1, x], lambda x: [x, "s"], lambda x: {"k": [[0.5], [x]]}],
+        ids=["value", "number-list", "mixed-number-list", "mixed-list", "nested"],
+    )
+    def test_non_finite_floats_raise_like_json(self, bad, place):
+        doc = {"a": place(bad)}
+        with pytest.raises(ValueError):
+            json_dump(doc)
+        with pytest.raises(ValueError):
+            _dump(doc)

@@ -2,7 +2,9 @@
 
 Each directory under ``golden/`` holds one problem file and the report of
 every applicable solver on it (``<solver>.json``, run with ``--solver``)
-plus the ``compare`` report with its ``runtime_seconds`` fields dropped.
+plus the ``compare`` report with its ``runtime_seconds`` fields dropped,
+and the ``--emit-posteriors`` CSV of the iterative solver
+(``posteriors.csv``).
 Two larger seeded instances, generated here, are pinned by the SHA-256 of
 their report bytes in ``golden/large.json``.
 
@@ -59,6 +61,13 @@ def _applicable(problem: dict) -> tuple[str, ...]:
 def _solve_bytes(path: Path, solver: str, out: Path) -> bytes:
     assert main(["solve", str(path), "--solver", solver, "--output", str(out)]) == 0
     return out.read_bytes()
+
+
+def _posterior_bytes(path: Path, work: Path) -> bytes:
+    csv = work / "posteriors.csv"
+    argv = ["solve", str(path), "--solver", "iterative", "--output", str(work / "r.json")]
+    assert main([*argv, "--emit-posteriors", str(csv)]) == 0
+    return csv.read_bytes()
 
 
 def _compare_text(path: Path, out: Path) -> str:
@@ -118,6 +127,12 @@ def test_reports_match_golden_bytes(case, tmp_path):
     assert _compare_text(problem_path, tmp_path / "compare.json") == expected
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_posterior_csv_matches_golden_bytes(case, tmp_path):
+    expected = (GOLDEN / case / "posteriors.csv").read_bytes()
+    assert _posterior_bytes(GOLDEN / case / "problem.json", tmp_path) == expected
+
+
 def test_golden_set_is_complete():
     assert CASES == sorted(["e1", *(f"desk-{'-'.join(c)}" for c in DESK_COMBOS)])
 
@@ -166,6 +181,7 @@ def _write_case(name: str, problem: dict, work: Path) -> None:
     for solver in _applicable(problem):
         (case / f"{solver}.json").write_bytes(_solve_bytes(problem_path, solver, work / "r.json"))
     (case / "compare.json").write_text(_compare_text(problem_path, work / "c.json"), encoding="utf-8")
+    (case / "posteriors.csv").write_bytes(_posterior_bytes(problem_path, work))
 
 
 def write_golden(work: Path) -> None:

@@ -17,7 +17,7 @@ from chanpart import (
     constraint_derivative,
     constraint_value,
 )
-from chanpart.impurity import column_gradients, column_impurities
+from chanpart.impurity import _column_gradients, _column_impurities, column_gradients, column_impurities
 
 from conftest import binary_entropy
 
@@ -219,6 +219,24 @@ class TestVectorKernels:
             batch = column_gradients(spec, cols)
             singles = np.stack([cell_gradient(spec, cols[:, i]) for i in range(7)], axis=1)
             np.testing.assert_array_equal(batch, singles)
+
+    def test_matrix_kernels_reject_negative_entries(self):
+        cols = np.array([[0.5, 0.2], [0.1, -0.2]])
+        for spec in (ENTROPY, GINI):
+            with pytest.raises(NegativeEntryError):
+                column_impurities(spec, cols)
+            with pytest.raises(NonPositiveEntryError):
+                column_gradients(spec, cols)
+
+    def test_unchecked_kernels_match_on_nonnegative_columns(self):
+        rng = np.random.default_rng(43)
+        cols = rng.random((3, 8))
+        cols[:, 1] = 0.0
+        cols[:, 2] = -0.0
+        cols[1, 4] = -0.0
+        for spec in (ENTROPY, GINI):
+            np.testing.assert_array_equal(_column_impurities(spec, cols), column_impurities(spec, cols))
+            np.testing.assert_array_equal(_column_gradients(spec, cols), column_gradients(spec, cols))
 
     def test_bad_kind_rejected(self):
         with pytest.raises(OutOfRangeError):
