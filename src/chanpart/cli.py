@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .errors import (
     ChanpartError,
@@ -41,6 +42,19 @@ TOP_KEYS = ("format", "joint_xy", "channel", "num_cells", "beta", "impurity", "c
 
 #: Largest accepted objective gap between exact solvers in ``compare``.
 AGREEMENT_TOL = 1e-9
+
+#: Deepest nesting of arrays and objects that orjson is given.  A problem file
+#: nests three deep; a deeper text goes to json alone, so json's recursion
+#: limit decides it as before.  orjson before 3.9.15 builds its Python objects
+#: by recursion in native code with no depth limit: a valid text nested some
+#: 10^5 deep overflows the C stack and kills the process.
+ORJSON_MAX_DEPTH = 64
+
+#: Every byte but brackets, braces, quotes and backslashes.
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"\\')
+
+#: Brackets and quotes scanned per block when measuring nesting depth.
+_DEPTH_BLOCK = 1 << 20
 
 #: Bound on any partition's objective and any symbol-to-cell distance that a
 #: problem file must keep; half the float range leaves room for their differences.
@@ -104,7 +118,8 @@ def parse_problem_document(doc) -> ProblemFile:
     else:
         try:
             channel = ChannelMatrix.identity(num_cells)
-        except ValueError as exc:  # past numpy's largest dimension
+        # past numpy's largest dimension, or more memory than numpy can ask for
+        except (ValueError, MemoryError) as exc:
             raise InputFileError(f"num_cells: too large for an identity channel: {exc}") from exc
 
     beta = _require(doc, "beta")
@@ -192,6 +207,54 @@ def parse_problem_document(doc) -> ProblemFile:
 
 
 def parse_problem_file(path: str) -> ProblemFile:
+    """Read and validate a problem file.
+
+    orjson reads a file nested at most :data:`ORJSON_MAX_DEPTH` deep; a
+    deeper file, or one that orjson or validation refuses, is read again by
+    :func:`_parse_with_json`, whose verdict and message stand.  The two agree
+    on every file both accept: orjson's floats are correctly rounded, and an
+    integer past 64 bits, which orjson reads as a float, either fails
+    validation or is used as that same float.
+    """
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        if _nests_within(raw, ORJSON_MAX_DEPTH):
+            return parse_problem_document(orjson.loads(raw))
+    except (OSError, orjson.JSONDecodeError, InputFileError):
+        pass
+    return _parse_with_json(path)
+
+
+def _nests_within(raw: bytes, limit: int) -> bool:
+    """Whether no array or object in the JSON text ``raw`` lies more than
+    ``limit`` deep.
+
+    Exact on valid JSON without a backslash, where every quote opens or
+    closes a string; a text with a backslash answers False.  On invalid
+    text the answer may be wrong, which is harmless: orjson refuses such a
+    text while parsing, before it builds any Python object.
+    """
+    text = raw.translate(None, _NOT_STRUCTURE)
+    if b"\\" in text:
+        return False
+    marks = np.frombuffer(text, dtype=np.uint8)
+    depth = quotes = 0
+    for start in range(0, marks.size, _DEPTH_BLOCK):
+        block = marks[start:start + _DEPTH_BLOCK]
+        quote = block == ord('"')
+        outside = (quotes + np.cumsum(quote)) % 2 == 0  # a closing quote counts as outside
+        step = np.where((block == ord("[")) | (block == ord("{")), 1, -1)
+        running = depth + np.cumsum(np.where(outside & ~quote, step, 0))
+        if running.max() > limit:
+            return False
+        depth, quotes = int(running[-1]), quotes + int(np.count_nonzero(quote))
+    return True
+
+
+def _parse_with_json(path: str) -> ProblemFile:
+    """The reference reading: json on a UTF-8 text-mode handle, whose newline
+    translation sets the line and column of a syntax error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)

@@ -1,6 +1,10 @@
 """Problem-file parsing, report emission, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,9 @@ from chanpart.cli import (
     EXIT_GUARD,
     EXIT_INPUT,
     EXIT_OK,
+    ORJSON_MAX_DEPTH,
+    InputFileError,
+    ProblemFile,
     _dump,
     main,
     parse_problem_document,
@@ -115,6 +122,15 @@ class TestSolve:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: {path}: parse error: ")
+
+    def test_unaffordable_identity_channel_exits_2(self, tmp_path, capsys):
+        # a 1e9 x 1e9 identity is 6.94 EiB: numpy refuses it before touching memory
+        path = write_doc(tmp_path, e1_doc(num_cells=10**9))
+        for command in ("solve", "compare"):
+            assert main([command, path]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: num_cells: too large for an identity channel: ")
 
     def test_unknown_impurity_exits_2(self, tmp_path, capsys):
         code = main(["solve", write_doc(tmp_path, e1_doc(impurity="variance"))])
@@ -284,6 +300,219 @@ class TestProblemFileRoundTrip:
         code = main(["solve", write_doc(tmp_path, doc)])
         assert code == EXIT_INPUT
         assert "channel" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Problem-file reading against json's own reader
+# ---------------------------------------------------------------------------
+
+
+def json_reading(path) -> ProblemFile:
+    """Reference: json on a UTF-8 text-mode handle, with the CLI's messages."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise InputFileError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputFileError(f"{path}: parse error: {exc}") from exc
+    return parse_problem_document(doc)
+
+
+def reading_outcome(parse, path):
+    """Every parsed value down to the bit, or the text of the refusal."""
+    try:
+        pf = parse(path)
+    except InputFileError as exc:
+        return "refused", str(exc)
+    spec, options = pf.spec, pf.options
+    weights = spec.constraint.weights
+    return (
+        "parsed",
+        spec.joint.entries.shape,
+        spec.joint.entries.tobytes(),
+        spec.channel.entries.shape,
+        spec.channel.entries.tobytes(),
+        spec.num_cells,
+        spec.beta.hex(),
+        spec.impurity.kind,
+        spec.constraint.kind,
+        None if weights is None else weights.tobytes(),
+        pf.solver,
+        (options.seed, options.restarts, options.max_iterations, options.sweep_mode),
+    )
+
+
+def assert_reads_like_json(tmp_path, raw: bytes):
+    path = tmp_path / "problem.json"
+    path.write_bytes(raw)
+    assert reading_outcome(parse_problem_file, path) == reading_outcome(json_reading, path)
+
+
+#: Number texts the two parsers treat differently or round at an edge:
+#: integers past 64 bits, non-finite and overflowing literals, signed zero,
+#: subnormals and halfway cases at both ends of the float range.
+ODD_NUMBERS = (
+    "18446744073709551615", "18446744073709551616", "-9223372036854775809", "10000000000000000000000000",
+    "-0", "-0.0", "0", "1", "2", "1.0", "1e-400", "5e-324", "2.4703282292062328e-324",
+    "2.4703282292062327e-324", "1.7976931348623157e308", "1.7976931348623158e308",
+    "1.7976931348623159e308", "1e400", "-1e400", "NaN", "Infinity", "-Infinity",
+    "0.1000000000000000055511151231257827", "true", "null", '"1"', "[]",
+)
+FLOAT_TEXTS = (repr, "{:.17g}".format, "{:.17e}".format, "{:.25e}".format)
+SPACES = st.sampled_from(["", " ", "\n", "\r\n", "\r", "\t"])
+
+
+@st.composite
+def problem_files(draw) -> bytes:
+    """Problem files near the edges of JSON: odd numbers and strings, duplicate
+    keys, any JSON whitespace including a lone CR, stray bytes and a BOM.
+    Half of them keep to values and bytes that both parsers read alike."""
+    odd = draw(st.booleans())
+
+    def odd_or(text: str, one_in: int) -> str:
+        return draw(st.sampled_from(ODD_NUMBERS)) if odd and draw(st.integers(1, one_in)) == 1 else text
+
+    def number(value: float) -> str:
+        return odd_or(draw(st.sampled_from(FLOAT_TEXTS))(value), 20)
+
+    def matrix(rows: int, cols: int, normalise) -> str:
+        cell = st.one_of(st.floats(1e-3, 1.0), st.sampled_from([0.0, 5e-324, 1e-300]))
+        raw = np.array(draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+        raw[0, :] += 1.0  # no empty column
+        raw[:, 0] += 1.0  # no empty row
+        return "[" + ",".join("[" + ",".join(map(number, row)) + "]" for row in normalise(raw).tolist()) + "]"
+
+    def name(*usual: str, unusual: tuple[str, ...]) -> str:
+        return draw(st.sampled_from(usual + unusual if odd else usual))
+
+    n, m, k = draw(st.integers(2, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    fields = [
+        ("format", odd_or(draw(st.sampled_from(["1", "1.0"])), 4)),
+        ("joint_xy", matrix(n, m, lambda a: a / a.sum())),
+        ("num_cells", odd_or(str(k), 4)),
+        ("beta", number(draw(st.floats(1e-3, 10.0)))),
+        ("impurity", name('"entropy"', '"gini"', unusual=('"\\ud800"', '"\\ud83d\\ude00"'))),
+        ("solver", name('"iterative"', '"dp"', unusual=('"é\\u0000"',))),
+    ]
+    constraint = draw(st.sampled_from(["none", "entropy", "linear"]))
+    if constraint == "linear":
+        weights = ",".join(number(draw(st.floats(-5.0, 5.0))) for _ in range(k))
+        fields.append(("constraint", f'{{"kind": "linear", "weights": [{weights}]}}'))
+    else:
+        fields.append(("constraint", f'"{constraint}"'))
+    if draw(st.booleans()):
+        h = draw(st.integers(1, 3))
+        fields.append(("channel", matrix(k, h, lambda a: a / a.sum(axis=1, keepdims=True))))
+    if draw(st.booleans()):
+        fields.append(("options", f'{{"seed": {odd_or(draw(st.sampled_from(["0", "7"])), 2)}}}'))
+    if draw(st.booleans()):  # a repeated key: json keeps the last value
+        key, value = draw(st.sampled_from(fields))
+        fields.append((key, number(2.0) if odd else value))
+    fields = draw(st.permutations(fields))
+    members = [f'{draw(SPACES)}"{key}"{draw(SPACES)}:{draw(SPACES)}{value}{draw(SPACES)}' for key, value in fields]
+    raw = ("{" + ",".join(members) + "}").encode("utf-8")
+
+    damage = draw(st.sampled_from(["none", "bom", "insert", "delete"] if odd else ["none"]))
+    at = draw(st.integers(0, len(raw)))
+    if damage == "bom":
+        raw = b"\xef\xbb\xbf" + raw
+    elif damage == "insert":
+        raw = raw[:at] + draw(st.sampled_from([b",", b"x", b"}", b"\r", b"\xff", b"\\ud800", b"[" * 2000])) + raw[at:]
+    elif damage == "delete":
+        raw = raw[:at] + raw[at + 1:]
+    return raw
+
+
+def e1_text(**fields: str) -> bytes:
+    """E1 as a file, with the named top-level values replaced by raw JSON text."""
+    members = {key: json.dumps(value) for key, value in E1_DOC.items()}
+    members.update(fields)
+    return ("{" + ", ".join(f'"{key}": {value}' for key, value in members.items()) + "}").encode("utf-8")
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+#: Valid values nested far past what orjson 3.8.3 converts without a crash
+#: (about 10^5 levels on an 8 MiB stack), built when a test runs.
+DEEP_VALUES = {
+    "arrays": lambda: "[" * 10**7 + "0" + "]" * 10**7,
+    "objects": lambda: '{"a":' * 10**6 + "0" + "}" * 10**6,
+    "closers-in-a-string": lambda: '["' + "]}" * 10**6 + '", ' + "[" * 10**6 + "0" + "]" * 10**6 + "]",
+}
+
+
+class TestReadingMatchesJson:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(raw=problem_files())
+    def test_generated_files(self, tmp_path_factory, raw):
+        assert_reads_like_json(tmp_path_factory.mktemp("read"), raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            *(
+                e1_text(**{key: text})
+                for key in ("format", "num_cells", "beta")
+                for text in ("18446744073709551616", "10000000000000000000000000")
+            ),
+            e1_text(options='{"seed": 18446744073709551616}'),
+            e1_text(options='{"seed": 10000000000000000000000000}'),
+            e1_text(joint_xy="[[18446744073709551616, 0], [0, 0]]"),
+            e1_text(joint_xy="[[0.5, 10000000000000000000000000], [0, 0.5]]"),
+            e1_text(joint_xy="[[0.25, -0.0, 0.25], [0.25, 0.25, 0.0]]"),
+            e1_text(joint_xy="[[0.5, 5e-324], [-0.0, 0.5]]"),
+            e1_text(joint_xy="[[0.30000000000000004, 0.19999999999999998],"
+                             " [0.10000000000000001, 0.39999999999999997]]"),
+            e1_text(joint_xy="[[0.1000000000000000055511151231257827, 0.4],"
+                             " [0.12345678901234567, 0.37654321098765433]]"),
+            e1_text(joint_xy="[[0.2, 0.15, 0.05, NaN], [0.05, 0.1, 0.2, 0.15]]"),
+            e1_text(beta="1e400"),
+            e1_text(beta="1.0", solver='"dp"').replace(b"}", b', "beta": 2.5, "solver": "iterative"}'),
+            e1_text(solver='"nope"').replace(b"}", b', "solver": "dp"}'),
+            e1_text(solver='"\\ud800"'),
+            b"\xef\xbb\xbf" + e1_text(),
+            b'{"a":\r1,\r"b": x}',
+            e1_text().replace(b", ", b",\r"),
+            e1_text(joint_xy=DEEP),
+            e1_text(format=DEEP),
+            e1_text(solver=DEEP),
+            # json refuses the first value for its depth; orjson, given it, would keep the second
+            e1_text(joint_xy="[" * 1000 + "]" * 1000).replace(b"}", b', "joint_xy": [[0.5, 0], [0, 0.5]]}'),
+        ],
+        ids=[
+            *(f"{key}-{name}" for key in ("format", "num_cells", "beta") for name in ("2^64", "10^25")),
+            "seed-2^64", "seed-10^25", "joint-2^64", "joint-10^25", "negative-zero", "subnormal",
+            "17-digit-mantissas", "long-mantissas", "NaN", "1e400", "duplicate-keys",
+            "duplicate-key-fixes-value", "lone-surrogate", "BOM", "lone-CR-syntax-error",
+            "lone-CR-separators", "deep-joint", "deep-format", "deep-solver",
+            "deep-duplicate-key",
+        ],
+    )
+    def test_pinned_files(self, tmp_path, raw):
+        assert_reads_like_json(tmp_path, raw)
+
+    @pytest.mark.parametrize("depth", [ORJSON_MAX_DEPTH - 2, ORJSON_MAX_DEPTH - 1, ORJSON_MAX_DEPTH])
+    def test_nesting_at_the_orjson_limit(self, tmp_path, depth):
+        # joint_xy sits one level inside the top object
+        nest = "[" * depth + "]" * depth
+        for text in (nest, f'[{{"a": "]]", "b": {nest[1:-1]}}}]', f'["[[", {nest[2:-2]}]'):
+            assert_reads_like_json(tmp_path, e1_text(joint_xy=text))
+
+    @pytest.mark.parametrize("shape", DEEP_VALUES)
+    def test_nesting_past_the_c_stack_exits_2(self, tmp_path, shape):
+        # orjson would convert a valid text this deep by native recursion and
+        # overflow the C stack, so the CLI runs in a process of its own
+        path = tmp_path / "deep.json"
+        path.write_text(f'{{"joint_xy": {DEEP_VALUES[shape]()}}}', encoding="ascii")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "chanpart", "solve", str(path)], capture_output=True, text=True, env=env
+        )
+        assert run.returncode == EXIT_INPUT, run.stderr[-500:]
+        assert run.stdout == ""
+        assert run.stderr.startswith(f"error: {path}: parse error: ")
 
 
 # ---------------------------------------------------------------------------
