@@ -5,7 +5,7 @@ every applicable solver on it (``<solver>.json``, run with ``--solver``)
 plus the ``compare`` report with its ``runtime_seconds`` fields dropped,
 and the ``--emit-posteriors`` CSV of the iterative solver
 (``posteriors.csv``).
-Two larger seeded instances, generated here, are pinned by the SHA-256 of
+Larger seeded instances, generated here, are pinned by the SHA-256 of
 their report bytes in ``golden/large.json``.
 
 Refactors must leave every byte unchanged.  After an intended change of
@@ -38,6 +38,19 @@ LARGE = {
     "batch20000": {
         "num_symbols": 20000,
         "options": {"seed": 12, "restarts": 1, "sweep_mode": "batch"},
+    },
+    # the entropy constraint refreshes its derivatives on every move
+    "seq2000-entropy-entropy": {
+        "num_symbols": 2000,
+        "constraint": "entropy",
+        "beta": 4.0,
+        "options": {"seed": 13, "restarts": 2},
+    },
+    "seq2000-gini-linear": {
+        "num_symbols": 2000,
+        "impurity": "gini",
+        "constraint": {"kind": "linear", "weights": [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07]},
+        "options": {"seed": 14, "restarts": 2},
     },
 }
 
@@ -95,9 +108,9 @@ def _large_problem(name: str) -> dict:
         "joint_xy": (counts / counts.sum()).tolist(),
         "channel": channel.tolist(),
         "num_cells": 8,
-        "beta": 1.0,
-        "impurity": "entropy",
-        "constraint": "none",
+        "beta": case.get("beta", 1.0),
+        "impurity": case.get("impurity", "entropy"),
+        "constraint": case.get("constraint", "none"),
         "solver": "iterative",
         "options": case["options"],
     }
