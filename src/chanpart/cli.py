@@ -56,6 +56,9 @@ _NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"\\')
 #: Brackets and quotes scanned per block when measuring nesting depth.
 _DEPTH_BLOCK = 1 << 20
 
+#: Longest echo of a problem file's value or key in an error message.
+ECHO_LIMIT = 200
+
 #: Bound on any partition's objective and any symbol-to-cell distance that a
 #: problem file must keep; half the float range leaves room for their differences.
 OBJECTIVE_LIMIT = sys.float_info.max / 2
@@ -80,9 +83,16 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _echo(text: str) -> str:
+    """``text`` cut to :data:`ECHO_LIMIT` characters, saying how many were cut."""
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT]}... ({len(text) - ECHO_LIMIT} more characters)"
+
+
 def _positive_int(value, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InputFileError(f"{key}: expected a positive integer, got {value!r}")
+        raise InputFileError(f"{key}: expected a positive integer, got {_echo(repr(value))}")
     return value
 
 
@@ -92,17 +102,17 @@ def parse_problem_document(doc) -> ProblemFile:
         raise InputFileError("document: expected a JSON object at top level")
     for key in doc:
         if key not in TOP_KEYS:
-            raise InputFileError(f"{key}: unknown key")
+            raise InputFileError(f"{_echo(str(key))}: unknown key")
     fmt = _require(doc, "format")
     if fmt != 1:
-        raise InputFileError(f"format: unsupported version {fmt!r}, expected 1")
+        raise InputFileError(f"format: unsupported version {_echo(repr(fmt))}, expected 1")
 
     try:
         joint = validate_joint(np.asarray(_require(doc, "joint_xy"), dtype=float))
     except InputFileError:
         raise
     except (ChanpartError, ValueError, TypeError, OverflowError) as exc:
-        raise InputFileError(f"joint_xy: {exc}") from exc
+        raise InputFileError(f"joint_xy: {_echo(str(exc))}") from exc
 
     num_cells = _positive_int(_require(doc, "num_cells"), "num_cells")
 
@@ -110,7 +120,7 @@ def parse_problem_document(doc) -> ProblemFile:
         try:
             channel = validate_channel(np.asarray(doc["channel"], dtype=float))
         except (ChanpartError, ValueError, TypeError, OverflowError) as exc:
-            raise InputFileError(f"channel: {exc}") from exc
+            raise InputFileError(f"channel: {_echo(str(exc))}") from exc
         if channel.num_inputs != num_cells:
             raise InputFileError(
                 f"channel: has {channel.num_inputs} rows but num_cells is {num_cells}"
@@ -125,11 +135,11 @@ def parse_problem_document(doc) -> ProblemFile:
     beta = _require(doc, "beta")
     # an int past the float range compares exactly, so float(beta) below cannot overflow
     if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0 < beta <= sys.float_info.max:
-        raise InputFileError(f"beta: expected a positive finite number, got {beta!r}")
+        raise InputFileError(f"beta: expected a positive finite number, got {_echo(repr(beta))}")
 
     impurity_name = _require(doc, "impurity")
     if impurity_name not in IMPURITY_KINDS:
-        raise InputFileError(f"impurity: unknown name {impurity_name!r}, expected one of {IMPURITY_KINDS}")
+        raise InputFileError(f"impurity: unknown name {_echo(repr(impurity_name))}, expected one of {IMPURITY_KINDS}")
     impurity = ImpuritySpec(impurity_name)
 
     constraint_doc = _require(doc, "constraint")
@@ -139,21 +149,21 @@ def parse_problem_document(doc) -> ProblemFile:
         raise InputFileError("constraint: expected a name or an object with a 'kind'")
     kind = constraint_doc["kind"]
     if kind not in CONSTRAINT_KINDS:
-        raise InputFileError(f"constraint: unknown kind {kind!r}, expected one of {CONSTRAINT_KINDS}")
+        raise InputFileError(f"constraint: unknown kind {_echo(repr(kind))}, expected one of {CONSTRAINT_KINDS}")
     for key in constraint_doc:
         if key not in ("kind", "weights"):
-            raise InputFileError(f"constraint.{key}: unknown key")
+            raise InputFileError(f"constraint.{_echo(str(key))}: unknown key")
     try:
         if kind == "linear":
             constraint = ConstraintSpec.linear(np.asarray(constraint_doc.get("weights"), dtype=float))
         else:
             if constraint_doc.get("weights") is not None:
-                raise InputFileError(f"constraint: kind {kind!r} takes no weights")
+                raise InputFileError(f"constraint: kind {_echo(repr(kind))} takes no weights")
             constraint = ConstraintSpec(kind)
     except InputFileError:
         raise
     except (ChanpartError, ValueError, TypeError, OverflowError) as exc:
-        raise InputFileError(f"constraint: {exc}") from exc
+        raise InputFileError(f"constraint: {_echo(str(exc))}") from exc
 
     try:
         spec = ProblemSpec(
@@ -165,18 +175,18 @@ def parse_problem_document(doc) -> ProblemFile:
             beta=float(beta),
         )
     except ChanpartError as exc:
-        raise InputFileError(f"problem: {exc}") from exc
+        raise InputFileError(f"problem: {_echo(str(exc))}") from exc
     # beta * F <= beta * impurity(p_X) (F is superadditive) and beta times a distance's gradient
     # term are both within beta * gradient_bound; a linear constraint adds at most max |w|
     scaled = spec.beta * gradient_bound(impurity, joint.num_sources)
     if not scaled < OBJECTIVE_LIMIT:
-        raise InputFileError(f"beta: {beta!r} is too large: the objective could overflow")
+        raise InputFileError(f"beta: {_echo(repr(beta))} is too large: the objective could overflow")
     if kind == "linear" and not scaled + float(np.abs(constraint.weights).max()) < OBJECTIVE_LIMIT:
         raise InputFileError("constraint: linear weights too large: the objective could overflow")
 
     solver = _require(doc, "solver")
     if solver not in SOLVER_NAMES:
-        raise InputFileError(f"solver: unknown name {solver!r}, expected one of {SOLVER_NAMES}")
+        raise InputFileError(f"solver: unknown name {_echo(repr(solver))}, expected one of {SOLVER_NAMES}")
 
     option_doc = doc.get("options", {})
     if option_doc is None:
@@ -185,12 +195,12 @@ def parse_problem_document(doc) -> ProblemFile:
         raise InputFileError("options: expected an object")
     for key in option_doc:
         if key not in OPTION_KEYS:
-            raise InputFileError(f"options.{key}: unknown key")
+            raise InputFileError(f"options.{_echo(str(key))}: unknown key")
     kwargs = {}
     if "seed" in option_doc:
         seed = option_doc["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise InputFileError(f"options.seed: expected a nonnegative integer, got {seed!r}")
+            raise InputFileError(f"options.seed: expected a nonnegative integer, got {_echo(repr(seed))}")
         kwargs["seed"] = seed
     if "restarts" in option_doc:
         kwargs["restarts"] = _positive_int(option_doc["restarts"], "options.restarts")
@@ -199,7 +209,7 @@ def parse_problem_document(doc) -> ProblemFile:
     if "sweep_mode" in option_doc:
         mode = option_doc["sweep_mode"]
         if mode not in ("sequential", "batch"):
-            raise InputFileError(f"options.sweep_mode: expected 'sequential' or 'batch', got {mode!r}")
+            raise InputFileError(f"options.sweep_mode: expected 'sequential' or 'batch', got {_echo(repr(mode))}")
         kwargs["sweep_mode"] = mode
     options = SolverOptions(**kwargs)
 

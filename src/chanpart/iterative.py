@@ -8,6 +8,11 @@ one set of statistics, which is faster but carries no monotonicity
 guarantee, so it runs behind a cycle guard that keeps the best partition
 seen.  Restarts draw independent random initial assignments and the best
 restart wins.
+
+The sequential sweep is exact yet scans symbols in blocks: the statistics
+change only when a symbol moves, so between two moves every symbol's
+distances can be computed in one block, and the block's decisions up to
+its first move are the ones a symbol-by-symbol visit makes.
 """
 
 from __future__ import annotations
@@ -19,7 +24,14 @@ import numpy as np
 from .errors import DimensionMismatchError, IndexOutOfRangeError, OutOfRangeError
 from .impurity import _column_gradients, constraint_derivatives
 # CERTIFICATE_TOL and SolveReport are also imported from this module by callers
-from .objective import CERTIFICATE_TOL, ProblemSpec, SolveReport, certified_report, score_cells
+from .objective import (
+    CERTIFICATE_TOL,
+    ProblemSpec,
+    SolveReport,
+    _distances,
+    certified_report,
+    score_cells,
+)
 from .probability import Quantizer, cell_joints, posteriors
 
 SWEEP_MODES = ("sequential", "batch")
@@ -102,13 +114,28 @@ class _SweepEngine:
     ``move`` or ``rebuild``.  ``rebuild`` re-aggregates the joints exactly
     and is called at every sweep boundary to keep the float dust of the
     column updates from accumulating.
+
+    Every distance the engine reads comes from ``distances``, one call of
+    the kernel the certificate uses.  A sequential sweep asks it for a span
+    of symbols at once and acts only on the first symbol whose nearest cell
+    differs from its label.  The symbols before that one saw the same
+    gradients and derivatives a one-by-one visit would have shown them,
+    because nothing moved in between, so they stay put in both.  After the
+    move the scan resumes right behind the moved symbol with fresh
+    statistics, so no stale distance is ever acted on and no margin or
+    fallback is needed.
     """
 
-    #: Column block size for batch sweeps; keeps temporaries cache- and
-    #: allocator-friendly at large M.  Blocks of 16384 columns push the GEMMs
+    #: Largest column block of one distance call, in batch sweeps and
+    #: sequential spans; keeps temporaries cache- and allocator-friendly at
+    #: large M.  Blocks of 16384 columns push the GEMMs
     #: past OpenBLAS's multithreading size threshold, and threaded GEMM on a
     #: two-core host falls into a mode about five times slower.
     BLOCK = 4096
+
+    #: First and smallest span of a sequential scan; the span doubles after
+    #: a span without a move, up to ``BLOCK``, and halves after a move.
+    MIN_SPAN = 8
 
     def __init__(self, spec: ProblemSpec, assignment: np.ndarray) -> None:
         self.spec = spec
@@ -166,37 +193,41 @@ class _SweepEngine:
             self.derivs = constraint_derivatives(self.spec.constraint, self.mass)
         self._refresh()
 
-    def sweep_sequential(self) -> int:
-        post_t = self.posteriors.T
-        channel = self.channel
-        beta = self.spec.beta
-        assignment = self.assignment
-        changed = 0
-        for m in range(assignment.size):
-            dist = beta * (channel @ (self.gradients.T @ post_t[m])) + self.derivs
-            nearest = int(dist.argmin())
-            if nearest != assignment[m]:
-                self.move(m, nearest)
-                changed += 1
-        return changed
+    def distances(self, block) -> np.ndarray:
+        """K x B scaled distances of the symbols in ``block`` at the current statistics."""
+        grads_t = np.ascontiguousarray(self.gradients.T)
+        cols = self.posteriors[:, block]
+        return _distances(self.channel, grads_t, cols, self.spec.beta, self.derivs[:, None])
 
-    def distance_all(self) -> np.ndarray:
-        out = self.channel @ (self.gradients.T @ self.posteriors)
-        out *= self.spec.beta
-        out += self.derivs[:, None]
-        return out
+    def sweep_sequential(self) -> int:
+        """Move each symbol in turn to its nearest cell, scanning spans between moves."""
+        assignment = self.assignment
+        total = assignment.size
+        changed = 0
+        span = self.MIN_SPAN
+        m = 0
+        while m < total:
+            stop = min(m + span, total)
+            nearest = self.distances(slice(m, stop)).argmin(axis=0)
+            moved = nearest != assignment[m:stop]
+            first = int(moved.argmax())
+            if not moved[first]:
+                m = stop
+                span = min(2 * span, self.BLOCK)
+                continue
+            self.move(m + first, int(nearest[first]))
+            changed += 1
+            m += first + 1
+            span = max(span // 2, self.MIN_SPAN)
+        return changed
 
     def nearest_cells(self) -> np.ndarray:
         """Scaled-distance argmin per symbol, computed in column blocks."""
         total = self.assignment.size
         nearest = np.empty(total, dtype=np.int64)
-        grads_t = np.ascontiguousarray(self.gradients.T)
         for start in range(0, total, self.BLOCK):
             block = slice(start, min(start + self.BLOCK, total))
-            dist = self.channel @ (grads_t @ self.posteriors[:, block])
-            dist *= self.spec.beta
-            dist += self.derivs[:, None]
-            nearest[block] = dist.argmin(axis=0)
+            nearest[block] = self.distances(block).argmin(axis=0)
         return nearest
 
     def sweep_batch(self) -> int:
@@ -217,7 +248,7 @@ class _SweepEngine:
             donors = counts[self.assignment] >= 2
             if not np.any(donors):
                 break
-            dist = self.distance_all()
+            dist = self.distances(slice(None))
             own = dist[self.assignment, np.arange(self.assignment.size)]
             own = np.where(donors, own, -np.inf)
             point = int(np.argmax(own))

@@ -155,21 +155,32 @@ def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
     )
 
 
+def _distances(channel, grads_t, cols, beta: float, offset) -> np.ndarray:
+    """``beta * channel @ (grads_t @ cols) + offset`` in one fixed operation order.
+
+    The sweeps and the certificate all compute distances here, so they
+    share one formula and one rounding order.  ``channel`` is K x H,
+    ``grads_t`` H x N, ``cols`` N x B, and ``offset`` broadcasts against the
+    K x B result.
+    """
+    out = channel @ (grads_t @ cols)
+    out *= beta
+    out += offset
+    return out
+
+
 def distance_matrix(state: EvaluatedState, spec: ProblemSpec, *, scaled: bool = True) -> np.ndarray:
     """All symbol-to-cell distances at once, as a K x M matrix.
 
     With ``scaled=True`` (the solver form) the symbol mass is divided out:
     entry [k, m] is beta * sum_h A[k, h] * (c_h . p(X | Y_m)) + d_k.
     """
-    grads = state.output_gradients  # (N, H)
-    channel = spec.channel.entries  # (K, H)
-    derivs = state.constraint_derivatives  # (K,)
+    derivs = state.constraint_derivatives[:, None]  # (K, 1)
     if scaled:
-        cols = posteriors(spec.joint)  # (N, M)
-        return spec.beta * (channel @ (grads.T @ cols)) + derivs[:, None]
-    cols = spec.joint.entries
-    mass = spec.joint.symbol_marginal
-    return spec.beta * (channel @ (grads.T @ cols)) + derivs[:, None] * mass[None, :]
+        cols, offset = posteriors(spec.joint), derivs
+    else:
+        cols, offset = spec.joint.entries, derivs * spec.joint.symbol_marginal[None, :]
+    return _distances(spec.channel.entries, state.output_gradients.T, cols, spec.beta, offset)
 
 
 def _check_indices(spec: ProblemSpec, m: int, k: int) -> None:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanpart.cli import (
+    ECHO_LIMIT,
     EXIT_GUARD,
     EXIT_INPUT,
     EXIT_OK,
@@ -131,6 +132,24 @@ class TestSolve:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: num_cells: too large for an identity channel: ")
+
+    @pytest.mark.parametrize(
+        "overrides, start",
+        [
+            ({"format": [0.123456789] * 10**6}, "error: format: unsupported version [0.123456789, "),
+            ({"k" * 10**6: 1}, "error: " + "k" * ECHO_LIMIT + "... ("),
+        ],
+        ids=["format-value", "unknown-key"],
+    )
+    def test_oversized_echo_exits_2_on_a_short_line(self, tmp_path, capsys, overrides, start):
+        path = write_doc(tmp_path, e1_doc(**overrides))
+        for command in ("solve", "compare"):
+            assert main([command, path]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(start)
+            assert len(captured.err) < 2 * ECHO_LIMIT
+            assert captured.err.count("\n") == 1
 
     def test_unknown_impurity_exits_2(self, tmp_path, capsys):
         code = main(["solve", write_doc(tmp_path, e1_doc(impurity="variance"))])

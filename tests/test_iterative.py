@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from chanpart import (
+    ChannelMatrix,
+    ConstraintSpec,
     DimensionMismatchError,
+    ImpuritySpec,
     IndexOutOfRangeError,
     OutOfRangeError,
+    ProblemSpec,
     Quantizer,
     SolverOptions,
     distance_matrix,
@@ -16,6 +20,7 @@ from chanpart import (
     reassign_sweep,
     solve_bruteforce,
     solve_iterative,
+    validate_joint,
 )
 from chanpart.iterative import _SweepEngine
 from chanpart.objective import score_cells
@@ -227,6 +232,88 @@ class TestIncrementalEngine:
             assert scorer.call_count == 1
             assert engine.objective < first
             assert scorer.call_count == 2
+
+
+def _reference_sweep(engine: _SweepEngine) -> int:
+    """Sequential sweep one symbol at a time; asserts no visit sees a near-tie.
+
+    A lone symbol is exempt: every output then has its posterior, so all
+    cells tie unless the constraint separates them, and the block scan asks
+    for the same one-column block as this sweep.
+    """
+    changed = 0
+    total = engine.assignment.size
+    for m in range(total):
+        dist = engine.distances(slice(m, m + 1))[:, 0]
+        nearest = int(dist.argmin())
+        if total > 1:
+            assert np.partition(dist, 1)[1] - dist[nearest] > 1e-9
+        if nearest != engine.assignment[m]:
+            engine.move(m, nearest)
+            changed += 1
+    return changed
+
+
+def _interior_instance(rng, num_symbols: int, num_cells: int, constraint: str) -> ProblemSpec:
+    """Posteriors and relay entries >= 0.01, and distinct relay rows, so that
+    no two cells tie, empty ones included."""
+    post = rng.random((3, num_symbols)) + 0.05
+    joint = post / post.sum(axis=0) * rng.dirichlet(np.ones(num_symbols))
+    raw = rng.random((num_cells, num_cells)) + 0.05
+    weights = rng.uniform(0.0, 2.0, size=num_cells)
+    return ProblemSpec(
+        joint=validate_joint(joint / joint.sum()),
+        channel=ChannelMatrix(raw / raw.sum(axis=1, keepdims=True)),
+        num_cells=num_cells,
+        impurity=ImpuritySpec(("entropy", "gini")[int(rng.integers(2))]),
+        constraint=ConstraintSpec.linear(weights) if constraint == "linear" else ConstraintSpec(constraint),
+        beta=float(rng.choice((0.1, 1.0, 10.0))),
+    )
+
+
+class TestBlockScan:
+    """The spanned sequential sweep makes exactly the one-by-one sweep's moves."""
+
+    @pytest.mark.parametrize("constraint", ["none", "entropy", "linear"])
+    def test_matches_symbol_by_symbol_sweep(self, constraint):
+        rng = np.random.default_rng(77)
+        moved_at_block_end = moved_last = False
+        for m in (1, 7, 8, 9, 17, 40):
+            for trial in range(12):
+                spec = _interior_instance(rng, m, int(rng.integers(2, 5)), constraint)
+                if trial % 2:
+                    # a fixed point with the last symbol of the first block and
+                    # the final symbol knocked out of place
+                    start = solve_iterative(spec, SolverOptions(restarts=1)).assignment.copy()
+                    for index in {min(m, _SweepEngine.MIN_SPAN) - 1, m - 1}:
+                        start[index] = (start[index] + 1) % spec.num_cells
+                else:
+                    start = random_hard_labels(rng, spec)
+                reference = _SweepEngine(spec, start)
+                expected = _reference_sweep(reference)
+
+                engine = _SweepEngine(spec, start)
+                blocks = []
+                distances = engine.distances
+
+                def recording_distances(block):
+                    blocks.append(block)
+                    return distances(block)
+
+                engine.distances = recording_distances
+                moves = []
+                move = engine.move
+
+                def recording_move(index, target):
+                    moves.append((index, blocks[-1].stop))
+                    move(index, target)
+
+                engine.move = recording_move
+                assert engine.sweep_sequential() == expected
+                np.testing.assert_array_equal(engine.assignment, reference.assignment)
+                moved_at_block_end |= any(i == stop - 1 < m - 1 for i, stop in moves)
+                moved_last |= any(i == m - 1 for i, _ in moves)
+        assert moved_at_block_end and moved_last
 
 
 class TestOptionsValidation:
