@@ -24,14 +24,8 @@ import numpy as np
 from .errors import DimensionMismatchError, IndexOutOfRangeError, OutOfRangeError
 from .impurity import _column_gradients, constraint_derivatives
 # CERTIFICATE_TOL and SolveReport are also imported from this module by callers
-from .objective import (
-    CERTIFICATE_TOL,
-    ProblemSpec,
-    SolveReport,
-    _distances,
-    certified_report,
-    score_cells,
-)
+from .objective import (CERTIFICATE_TOL, ProblemSpec, SolveReport, _distances, certified_report,
+                        score_cells)
 from .probability import Quantizer, cell_joints, posteriors
 
 SWEEP_MODES = ("sequential", "batch")
@@ -115,22 +109,19 @@ class _SweepEngine:
     and is called at every sweep boundary to keep the float dust of the
     column updates from accumulating.
 
-    Every distance the engine reads comes from ``distances``, one call of
-    the kernel the certificate uses.  A sequential sweep asks it for a span
-    of symbols at once and acts only on the first symbol whose nearest cell
-    differs from its label.  The symbols before that one saw the same
-    gradients and derivatives a one-by-one visit would have shown them,
-    because nothing moved in between, so they stay put in both.  After the
-    move the scan resumes right behind the moved symbol with fresh
-    statistics, so no stale distance is ever acted on and no margin or
-    fallback is needed.
+    Every distance comes from ``distances``, which calls the kernel the
+    certificate uses.  A sequential sweep reads a span of symbols at once and moves only
+    the first whose nearest cell is not its own: nothing moved before it, so
+    the symbols ahead of it saw the statistics a one-by-one visit shows them.
+    The scan resumes right behind the move, so no stale distance is acted
+    on and no margin or fallback is needed.
     """
 
     #: Largest column block of one distance call, in batch sweeps and
     #: sequential spans; keeps temporaries cache- and allocator-friendly at
-    #: large M.  Blocks of 16384 columns push the GEMMs
-    #: past OpenBLAS's multithreading size threshold, and threaded GEMM on a
-    #: two-core host falls into a mode about five times slower.
+    #: large M.  Blocks of 16384 columns push the GEMMs past OpenBLAS's
+    #: multithreading size threshold, and threaded GEMM on a two-core host
+    #: falls into a mode about five times slower.
     BLOCK = 4096
 
     #: First and smallest span of a sequential scan; the span doubles after

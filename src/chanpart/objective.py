@@ -159,7 +159,7 @@ def _distances(channel, grads_t, cols, beta: float, offset) -> np.ndarray:
     """``beta * channel @ (grads_t @ cols) + offset`` in one fixed operation order.
 
     The sweeps and the certificate all compute distances here, so they
-    share one formula and one rounding order.  ``channel`` is K x H,
+    share one formula and one operation order.  ``channel`` is K x H,
     ``grads_t`` H x N, ``cols`` N x B, and ``offset`` broadcasts against the
     K x B result.
     """
