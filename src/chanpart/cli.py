@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -28,7 +27,7 @@ from .errors import (
 from .exact import solve_binary_thresholds, solve_bruteforce, solve_dp_identity
 from .impurity import CONSTRAINT_KINDS, IMPURITY_KINDS, ConstraintSpec, ImpuritySpec, gradient_bound
 from .iterative import SolveReport, SolverOptions, solve_iterative
-from .objective import ProblemSpec, evaluate
+from .objective import ProblemSpec
 from .probability import ChannelMatrix, posteriors, validate_channel, validate_joint
 
 EXIT_OK = 0
@@ -43,18 +42,17 @@ TOP_KEYS = ("format", "joint_xy", "channel", "num_cells", "beta", "impurity", "c
 #: Largest accepted objective gap between exact solvers in ``compare``.
 AGREEMENT_TOL = 1e-9
 
-#: Deepest nesting of arrays and objects that orjson is given.  A problem file
-#: nests three deep; a deeper text goes to json alone, so json's recursion
-#: limit decides it as before.  orjson before 3.9.15 builds its Python objects
-#: by recursion in native code with no depth limit: a valid text nested some
-#: 10^5 deep overflows the C stack and kills the process.
+#: Most opening brackets and braces a text may hold for orjson to read it.
+#: Every array or object opens with one, so their count bounds the nesting
+#: depth from above, quotes and escapes aside.  A text with more goes to json
+#: alone, so json's recursion limit decides it as before.  orjson before
+#: 3.9.15 builds its Python objects by recursion in native code with no depth
+#: limit: a valid text nested some 10^5 deep overflows the C stack and kills
+#: the process.
 ORJSON_MAX_DEPTH = 64
 
-#: Every byte but brackets, braces, quotes and backslashes.
-_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"\\')
-
-#: Brackets and quotes scanned per block when measuring nesting depth.
-_DEPTH_BLOCK = 1 << 20
+#: Every byte but the opening bracket and brace.
+_NOT_OPENING = bytes(b for b in range(256) if b not in b"[{")
 
 #: Longest echo of a problem file's value or key in an error message.
 ECHO_LIMIT = 200
@@ -219,47 +217,21 @@ def parse_problem_document(doc) -> ProblemFile:
 def parse_problem_file(path: str) -> ProblemFile:
     """Read and validate a problem file.
 
-    orjson reads a file nested at most :data:`ORJSON_MAX_DEPTH` deep; a
-    deeper file, or one that orjson or validation refuses, is read again by
-    :func:`_parse_with_json`, whose verdict and message stand.  The two agree
-    on every file both accept: orjson's floats are correctly rounded, and an
-    integer past 64 bits, which orjson reads as a float, either fails
-    validation or is used as that same float.
+    orjson reads a file with at most :data:`ORJSON_MAX_DEPTH` opening
+    brackets and braces; a file with more, or one that orjson or validation
+    refuses, is read again by :func:`_parse_with_json`, whose verdict and
+    message stand.  The two agree on every file both accept: orjson's floats
+    are correctly rounded, and an integer past 64 bits, which orjson reads as
+    a float, either fails validation or is used as that same float.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-        if _nests_within(raw, ORJSON_MAX_DEPTH):
+        if len(raw.translate(None, _NOT_OPENING)) <= ORJSON_MAX_DEPTH:
             return parse_problem_document(orjson.loads(raw))
     except (OSError, orjson.JSONDecodeError, InputFileError):
         pass
     return _parse_with_json(path)
-
-
-def _nests_within(raw: bytes, limit: int) -> bool:
-    """Whether no array or object in the JSON text ``raw`` lies more than
-    ``limit`` deep.
-
-    Exact on valid JSON without a backslash, where every quote opens or
-    closes a string; a text with a backslash answers False.  On invalid
-    text the answer may be wrong, which is harmless: orjson refuses such a
-    text while parsing, before it builds any Python object.
-    """
-    text = raw.translate(None, _NOT_STRUCTURE)
-    if b"\\" in text:
-        return False
-    marks = np.frombuffer(text, dtype=np.uint8)
-    depth = quotes = 0
-    for start in range(0, marks.size, _DEPTH_BLOCK):
-        block = marks[start:start + _DEPTH_BLOCK]
-        quote = block == ord('"')
-        outside = (quotes + np.cumsum(quote)) % 2 == 0  # a closing quote counts as outside
-        step = np.where((block == ord("[")) | (block == ord("{")), 1, -1)
-        running = depth + np.cumsum(np.where(outside & ~quote, step, 0))
-        if running.max() > limit:
-            return False
-        depth, quotes = int(running[-1]), quotes + int(np.count_nonzero(quote))
-    return True
 
 
 def _parse_with_json(path: str) -> ProblemFile:
@@ -315,7 +287,6 @@ def _run_named_solver(name: str, spec: ProblemSpec, options: SolverOptions) -> S
 
 
 def report_document(spec: ProblemSpec, report: SolveReport) -> dict:
-    state = evaluate(spec, report.best_quantizer)
     return {
         "format": 1,
         "solver": report.solver_name,
@@ -324,8 +295,8 @@ def report_document(spec: ProblemSpec, report: SolveReport) -> dict:
         "F_value": report.F_value,
         "G_value": report.G_value,
         "assignment": (report.assignment + 1).tolist(),
-        "cell_masses": state.cluster_joints.cluster_mass.tolist(),
-        "output_joint": state.output_joints.entries.tolist(),
+        "cell_masses": report.state.cluster_joints.cluster_mass.tolist(),
+        "output_joint": report.state.output_joints.entries.tolist(),
         "optimality_certificate": report.optimality_certificate,
         "objective_trace": list(report.objective_trace),
         "iterations_used": list(report.iterations_used),
@@ -341,33 +312,16 @@ def _encode(value, indent: str) -> str:
     for documents with string keys, with ``value`` nested at ``indent``.
 
     A list of plain ints and floats is encoded in one bulk call instead of
-    one Python call per item; everything else takes json's own scalar forms.
+    one Python call per item; scalars and empty containers take json's own
+    C encoder.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+    if isinstance(value, dict) and value:
         items = sorted(value.items())
         body = sep.join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in items])
         return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if isinstance(value, (list, tuple)) and value:
         kinds = {*map(type, value)}
         if kinds == {int}:
             # labels: few distinct values, each formatted once
@@ -378,7 +332,7 @@ def _encode(value, indent: str) -> str:
         else:
             body = sep.join([_encode(item, inner) for item in value])
         return "[\n" + inner + body + "\n" + indent + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return _NUMBERS.encode(value)
 
 
 def _dump(doc: dict) -> str:

@@ -46,8 +46,8 @@ from .objective import (
     CERTIFICATE_TOL,
     ProblemSpec,
     SolveReport,
+    _own_and_best,
     certified_report,
-    distance_matrix,
     evaluate,
 )
 from .probability import Quantizer, posteriors
@@ -301,11 +301,7 @@ def check_hyperplane_separation(
     if quantizer.kind != "hard":
         raise PreconditionViolatedError("separation is defined for hard quantizers")
     labels = quantizer.hard_assignment
-    state = evaluate(spec, quantizer)
-    dist = distance_matrix(state, spec, scaled=True)
-    own = dist[labels, np.arange(labels.size)]
-    best = dist.min(axis=0)
-    nearest = dist.argmin(axis=0)
+    dist, own, best = _own_and_best(spec, evaluate(spec, quantizer), labels)
 
     violations: list[SeparationViolation] = []
     for m in np.nonzero(own > best + tol)[0]:
@@ -313,7 +309,7 @@ def check_hyperplane_separation(
             SeparationViolation(
                 point=int(m),
                 assigned_cell=int(labels[m]),
-                competing_cell=int(nearest[m]),
+                competing_cell=int(dist[:, m].argmin()),
                 margin=float(own[m] - best[m] - tol),
                 kind="distance",
             )

@@ -23,21 +23,20 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, OutOfRangeError
 from .impurity import _column_gradients, constraint_derivatives
-# CERTIFICATE_TOL and SolveReport are also imported from this module by callers
-from .objective import (CERTIFICATE_TOL, ProblemSpec, SolveReport, _distances, certified_report,
-                        score_cells)
+# SolveReport is also imported from this module by callers
+from .objective import ProblemSpec, SolveReport, _distances, certified_report, score_cells
 from .probability import Quantizer, cell_joints, posteriors
 
 SWEEP_MODES = ("sequential", "batch")
-INIT_MODES = ("random", "provided")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SolverOptions:
     """Knobs for :func:`solve_iterative`.
 
-    ``init="provided"`` runs a single pass from ``initial_assignment``
-    instead of ``restarts`` random starts.  ``reseed_empty`` moves the point
+    A given ``initial_assignment`` runs a single pass from those labels
+    instead of ``restarts`` random starts; it is stored as a tuple of ints,
+    so options compare and hash by value.  ``reseed_empty`` moves the point
     farthest from its own cell into an empty cell whenever a sweep converges
     with empty cells left (at most once per cell per restart); the forced
     move may raise the objective, so it is off by default.
@@ -53,8 +52,7 @@ class SolverOptions:
     max_iterations: int = 500
     restarts: int = 10
     seed: int = 0
-    init: str = "random"
-    initial_assignment: np.ndarray | None = None
+    initial_assignment: tuple[int, ...] | None = None
     sweep_mode: str = "sequential"
     tolerance: float = 1e-12
     reseed_empty: bool = False
@@ -70,29 +68,9 @@ class SolverOptions:
             raise OutOfRangeError(f"tolerance must be nonnegative, got {self.tolerance}")
         if self.sweep_mode not in SWEEP_MODES:
             raise OutOfRangeError(f"sweep_mode must be one of {SWEEP_MODES}, got {self.sweep_mode!r}")
-        if self.init not in INIT_MODES:
-            raise OutOfRangeError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if (self.init == "provided") != (self.initial_assignment is not None):
-            raise OutOfRangeError("initial_assignment must be given exactly when init='provided'")
         if self.initial_assignment is not None:
-            a = np.asarray(self.initial_assignment, dtype=np.int64).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, "initial_assignment", a)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SolverOptions):
-            return NotImplemented
-        if (self.initial_assignment is None) != (other.initial_assignment is None):
-            return False
-        if self.initial_assignment is not None and not np.array_equal(
-            self.initial_assignment, other.initial_assignment
-        ):
-            return False
-        mine = (self.max_iterations, self.restarts, self.seed, self.init,
-                self.sweep_mode, self.tolerance, self.reseed_empty)
-        theirs = (other.max_iterations, other.restarts, other.seed, other.init,
-                  other.sweep_mode, other.tolerance, other.reseed_empty)
-        return mine == theirs
+            labels = tuple(np.asarray(self.initial_assignment, dtype=np.int64).tolist())
+            object.__setattr__(self, "initial_assignment", labels)
 
 
 class _SweepEngine:
@@ -143,15 +121,9 @@ class _SweepEngine:
         self.joint = spec.joint.entries
         self.symbol_mass = spec.joint.symbol_marginal
         self.channel = spec.channel.entries
+        self.posteriors = posteriors(spec.joint)
         self._mass_dependent_derivs = spec.constraint.kind == "entropy"
-        self._posteriors: np.ndarray | None = None
         self.rebuild()
-
-    @property
-    def posteriors(self) -> np.ndarray:
-        if self._posteriors is None:
-            self._posteriors = posteriors(self.spec.joint)
-        return self._posteriors
 
     @property
     def objective(self) -> float:
@@ -212,18 +184,14 @@ class _SweepEngine:
             span = max(span // 2, self.MIN_SPAN)
         return changed
 
-    def nearest_cells(self) -> np.ndarray:
-        """Scaled-distance argmin per symbol, computed in column blocks."""
+    def sweep_batch(self) -> int:
+        """Move every symbol at once to its nearest cell, computed in column blocks;
+        the statistics are stale until ``rebuild``."""
         total = self.assignment.size
         nearest = np.empty(total, dtype=np.int64)
         for start in range(0, total, self.BLOCK):
             block = slice(start, min(start + self.BLOCK, total))
             nearest[block] = self.distances(block).argmin(axis=0)
-        return nearest
-
-    def sweep_batch(self) -> int:
-        """Move every symbol at once; the statistics are stale until ``rebuild``."""
-        nearest = self.nearest_cells()
         changed = int(np.count_nonzero(nearest != self.assignment))
         self.assignment = nearest
         return changed

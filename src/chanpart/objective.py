@@ -120,6 +120,7 @@ class SolveReport:
     iterations_used: tuple[int, ...]
     objective_trace: tuple[float, ...]
     optimality_certificate: bool
+    state: EvaluatedState  # of best_quantizer; the fields above were read from it
 
     @property
     def assignment(self) -> np.ndarray:
@@ -158,10 +159,11 @@ def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
 def _distances(channel, grads_t, cols, beta: float, offset) -> np.ndarray:
     """``beta * channel @ (grads_t @ cols) + offset`` in one fixed operation order.
 
-    The sweeps and the certificate all compute distances here, so they
-    share one formula and one operation order.  ``channel`` is K x H,
-    ``grads_t`` H x N, ``cols`` N x B, and ``offset`` broadcasts against the
-    K x B result.
+    The sweeps, the certificate and the single distances all compute
+    distances here, so they share one formula and one operation order.
+    ``channel`` is K x H, ``grads_t`` H x N, ``cols`` N x B, and ``offset``
+    broadcasts against the K x B result; one channel row and one column
+    give a single distance.
     """
     out = channel @ (grads_t @ cols)
     out *= beta
@@ -193,27 +195,29 @@ def _check_indices(spec: ProblemSpec, m: int, k: int) -> None:
 def distance(state: EvaluatedState, spec: ProblemSpec, m: int, k: int) -> float:
     """Gradient-based distance from data symbol m to cell k."""
     _check_indices(spec, m, k)
-    s = state.output_gradients.T @ spec.joint.entries[:, m]  # (H,)
-    mass = float(spec.joint.symbol_marginal[m])
-    return float(
-        spec.beta * (spec.channel.entries[k] @ s)
-        + state.constraint_derivatives[k] * mass
-    )
+    offset = state.constraint_derivatives[k] * spec.joint.symbol_marginal[m]
+    return float(_distances(spec.channel.entries[k], state.output_gradients.T,
+                            spec.joint.entries[:, m], spec.beta, offset))
 
 
 def scaled_distance(state: EvaluatedState, spec: ProblemSpec, m: int, k: int) -> float:
     """Distance with the symbol mass divided out; same argmin as `distance`."""
     _check_indices(spec, m, k)
     post = spec.joint.entries[:, m] / spec.joint.symbol_marginal[m]
-    s = state.output_gradients.T @ post
-    return float(spec.beta * (spec.channel.entries[k] @ s) + state.constraint_derivatives[k])
+    return float(_distances(spec.channel.entries[k], state.output_gradients.T, post,
+                            spec.beta, state.constraint_derivatives[k]))
+
+
+def _own_and_best(spec: ProblemSpec, state: EvaluatedState, labels) -> tuple:
+    """The K x M scaled distances, each symbol's distance to its own cell and its least distance."""
+    dist = distance_matrix(state, spec, scaled=True)
+    return dist, dist[labels, np.arange(labels.size)], dist.min(axis=0)
 
 
 def _distance_optimal(spec: ProblemSpec, state: EvaluatedState, labels, tol=CERTIFICATE_TOL) -> bool:
-    dist = distance_matrix(state, spec, scaled=True)
-    own = dist[labels, np.arange(labels.size)]
+    _, own, best = _own_and_best(spec, state, labels)
     # not own - best <= tol: that rounds differently and can flip a tied certificate
-    return bool(np.all(own <= dist.min(axis=0) + tol))
+    return bool(np.all(own <= best + tol))
 
 
 def assignment_is_distance_optimal(
@@ -240,6 +244,7 @@ def certified_report(
         iterations_used=iterations_used,
         objective_trace=(state.objective,) if objective_trace is None else objective_trace,
         optimality_certificate=_distance_optimal(spec, state, quantizer.hard_assignment),
+        state=state,
     )
 
 

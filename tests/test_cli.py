@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -532,6 +534,42 @@ class TestReadingMatchesJson:
         assert run.returncode == EXIT_INPUT, run.stderr[-500:]
         assert run.stdout == ""
         assert run.stderr.startswith(f"error: {path}: parse error: ")
+
+
+def joint_rows(rows: int, cols: int = 2) -> str:
+    """A valid joint_xy text of ``rows`` equal rows: ``rows + 1`` opening brackets."""
+    return json.dumps(np.full((rows, cols), 1.0 / (rows * cols)).tolist())
+
+
+class TestOrjsonBound:
+    """orjson reads a file only when its opening brackets and braces number at
+    most ORJSON_MAX_DEPTH; the rest go to json alone."""
+
+    def orjson_calls(self, tmp_path, raw: bytes) -> int:
+        path = tmp_path / "problem.json"
+        path.write_bytes(raw)
+        with mock.patch("chanpart.cli.orjson.loads", wraps=orjson.loads) as loads:
+            parse_problem_file(path)
+        return loads.call_count
+
+    @pytest.mark.parametrize(
+        "rows, calls",
+        # the top object, joint_xy and its rows: rows + 2 opening brackets in all
+        [(ORJSON_MAX_DEPTH - 2, 1), (ORJSON_MAX_DEPTH - 1, 0), (70, 0)],
+        ids=["at-the-bound", "one-past", "70-rows"],
+    )
+    def test_opening_brackets_decide(self, tmp_path, rows, calls):
+        raw = e1_text(joint_xy=joint_rows(rows))
+        assert raw.count(b"[") + raw.count(b"{") == rows + 2
+        assert self.orjson_calls(tmp_path, raw) == calls
+        assert_reads_like_json(tmp_path, raw)
+
+    def test_benchmark_shaped_file_reaches_orjson_once(self, tmp_path):
+        channel = np.full((8, 8), 0.05 / 7) + np.eye(8) * (0.95 - 0.05 / 7)
+        doc = {**E1_DOC, "joint_xy": json.loads(joint_rows(4, 50)), "num_cells": 8,
+               "channel": channel.tolist(), "solver": "iterative",
+               "options": {"seed": 1, "restarts": 2, "sweep_mode": "batch"}}
+        assert self.orjson_calls(tmp_path, json.dumps(doc).encode()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Local solver: sweeps, monotonicity, restarts, determinism."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -37,7 +38,7 @@ from conftest import (
 
 class TestSolveIterative:
     def test_crossed_init_reaches_global_optimum(self, e1_spec):
-        opts = SolverOptions(init="provided", initial_assignment=np.array([0, 1, 0, 1]))
+        opts = SolverOptions(initial_assignment=np.array([0, 1, 0, 1]))
         report = solve_iterative(e1_spec, opts)
         expected = 0.5 * binary_entropy(0.7) + 0.5 * binary_entropy(0.3)
         assert report.objective == pytest.approx(expected, abs=1e-12)
@@ -45,7 +46,7 @@ class TestSolveIterative:
         assert report.optimality_certificate
 
     def test_optimal_init_is_fixed_point(self, e1_spec):
-        opts = SolverOptions(init="provided", initial_assignment=np.array([0, 0, 1, 1]))
+        opts = SolverOptions(initial_assignment=np.array([0, 0, 1, 1]))
         report = solve_iterative(e1_spec, opts)
         assert report.iterations_used == (1,)
         assert len(report.objective_trace) == 2
@@ -101,14 +102,14 @@ class TestSolveIterative:
     def test_reseed_empty_populates_second_cell(self, e1_spec):
         start = np.array([0, 0, 0, 0])
         plain = solve_iterative(
-            e1_spec, SolverOptions(init="provided", initial_assignment=start)
+            e1_spec, SolverOptions(initial_assignment=start)
         )
         assert np.unique(plain.assignment).size == 1
         assert plain.objective == pytest.approx(1.0, abs=1e-12)
 
         forced = solve_iterative(
             e1_spec,
-            SolverOptions(init="provided", initial_assignment=start, reseed_empty=True),
+            SolverOptions(initial_assignment=start, reseed_empty=True),
         )
         assert np.unique(forced.assignment).size == 2
         # lands on the two-cell local optimum {Y1} | {Y2, Y3, Y4}
@@ -127,11 +128,11 @@ class TestSolveIterative:
     def test_zero_gain_sweep_still_reseeds(self):
         spec = tied_spec(4, num_cells=2)
         start = np.array([0, 0, 0, 1])
-        plain = solve_iterative(spec, SolverOptions(init="provided", initial_assignment=start))
+        plain = solve_iterative(spec, SolverOptions(initial_assignment=start))
         assert plain.iterations_used == (1,)
         assert len(plain.objective_trace) == 2
         forced = solve_iterative(
-            spec, SolverOptions(init="provided", initial_assignment=start, reseed_empty=True)
+            spec, SolverOptions(initial_assignment=start, reseed_empty=True)
         )
         # sweep 1 empties cell 1 and the reseed refills it; sweep 2 empties it again
         assert forced.iterations_used == (2,)
@@ -325,16 +326,26 @@ class TestOptionsValidation:
         with pytest.raises(OutOfRangeError):
             SolverOptions(sweep_mode="diagonal")
         with pytest.raises(OutOfRangeError):
-            SolverOptions(init="provided")  # missing assignment
-        with pytest.raises(OutOfRangeError):
-            SolverOptions(initial_assignment=np.array([0, 1]))  # init still "random"
-        with pytest.raises(OutOfRangeError):
             SolverOptions(seed=-1)
 
+    def test_init_is_gone(self):
+        with pytest.raises(TypeError):
+            SolverOptions(init="provided")
+
+    def test_equality_and_hash_follow_the_labels(self):
+        from_list = SolverOptions(initial_assignment=[0, 1, 0, 1])
+        from_array = SolverOptions(initial_assignment=np.array([0, 1, 0, 1]))
+        assert from_list == from_array
+        assert hash(from_list) == hash(from_array)
+        assert from_list != SolverOptions(initial_assignment=[0, 1, 1, 1])
+        assert SolverOptions() != from_list
+        assert hash(SolverOptions()) == hash(SolverOptions())
+        assert replace(from_list, seed=1) != from_list
+
     def test_bad_initial_assignment_rejected(self, e1_spec):
-        short = SolverOptions(init="provided", initial_assignment=np.array([0, 1]))
+        short = SolverOptions(initial_assignment=np.array([0, 1]))
         with pytest.raises(DimensionMismatchError):
             solve_iterative(e1_spec, short)
-        wide = SolverOptions(init="provided", initial_assignment=np.array([0, 1, 2, 0]))
+        wide = SolverOptions(initial_assignment=np.array([0, 1, 2, 0]))
         with pytest.raises(IndexOutOfRangeError):
             solve_iterative(e1_spec, wide)

@@ -20,6 +20,9 @@ from chanpart import (
     ProblemSpec,
     Quantizer,
     SolverOptions,
+    assignment_is_distance_optimal,
+    check_hyperplane_separation,
+    distance_matrix,
     evaluate,
     solve_iterative,
     validate_joint,
@@ -40,8 +43,8 @@ def _counts(draw, rows: int, cols: int) -> np.ndarray:
 
 
 @st.composite
-def boundary_instances(draw) -> ProblemSpec:
-    n = draw(st.integers(2, 3))
+def boundary_instances(draw, min_sources: int = 2) -> ProblemSpec:
+    n = draw(st.integers(min_sources, 3))
     m = draw(st.integers(1, 7))
     k = draw(st.integers(2, 5))
     columns = _counts(draw, m, n)  # one row per data symbol, zeros allowed
@@ -102,3 +105,20 @@ def test_sequential_report_is_certified(spec, seed):
     assert report.optimality_certificate
     assert all(sweeps < SolverOptions().max_iterations for sweeps in report.iterations_used)
     assert np.all(np.diff(report.objective_trace) <= 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(spec=boundary_instances(min_sources=3), data=st.data())
+def test_the_two_certificates_agree(spec, data):
+    # with N >= 3 no ordering check applies, so both read the distances alone
+    drawn = data.draw(st.lists(st.integers(0, spec.num_cells - 1), min_size=spec.num_symbols,
+                               max_size=spec.num_symbols))
+    solved = solve_iterative(spec, SolverOptions(restarts=1)).assignment
+    for labels in (drawn, solved):
+        quantizer = Quantizer.hard(labels, spec.num_cells)
+        separation = check_hyperplane_separation(spec, quantizer)
+        assert assignment_is_distance_optimal(spec, quantizer) == separation.separated
+        dist = distance_matrix(evaluate(spec, quantizer), spec)
+        for violation in separation.violations:
+            assert violation.kind == "distance"
+            assert dist[violation.competing_cell, violation.point] == dist[:, violation.point].min()
