@@ -2,8 +2,8 @@
 
 One JSON schema (``format: 1``) is used for both problem files and reports,
 so runs are diffable and reproducible.  Exit codes: 0 success, 2 input or
-validation error, 3 solver guard/precondition failure, 4 exact-solver
-disagreement in ``compare``.
+validation error or an output file that cannot be written, 3 solver
+guard/precondition failure, 4 exact-solver disagreement in ``compare``.
 """
 
 from __future__ import annotations
@@ -359,8 +359,7 @@ def write_posterior_csv(path: str, spec: ProblemSpec, report: SolveReport) -> No
         cells += [repr(float(post[n, m])) for n in range(spec.num_sources)]
         cells.append(str(int(labels[m]) + 1))
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_output("\n".join(lines) + "\n", path)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -466,9 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args)
-    return cmd_compare(args)
+    try:
+        return cmd_solve(args) if args.command == "solve" else cmd_compare(args)
+    # past parsing, which reports its own, an OSError comes from writing an output
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ Each solver checks its own domain before any work and raises
 which ``chanpart compare`` reports as the solver's ``reason``; the two
 enumerations also refuse more than 2**22 candidates.  They score candidates
 in blocks, summing each cell joint in ascending symbol order as
-``cell_joints`` does and then taking the steps of ``score_cells``, so a
-candidate's objective has the bits of the report's own arithmetic (under a
-linear constraint it may differ in the last bits: a block's masses meet the
-weights in one matrix product).  Ties go to the first candidate in
-enumeration order.
+``cell_joints`` does and then calling ``score_cells`` on the whole block,
+so a candidate's objective has the bits of the report's own arithmetic
+(under a linear constraint it may differ in the last bits: a block's masses
+meet the weights in one matrix product).  Ties go to the first candidate in
+enumeration order.  The DP scores its intervals through ``score_cells`` as
+well, each as a candidate of one cell.
 
 :func:`check_hyperplane_separation` verifies the local-optimality geometry
 of any hard partition: every symbol in an argmin-distance cell and, for
@@ -41,7 +42,6 @@ from .errors import (
     NotBinaryError,
     PreconditionViolatedError,
 )
-from .impurity import _column_impurities, constraint_total
 from .objective import (
     CERTIFICATE_TOL,
     ProblemSpec,
@@ -49,6 +49,7 @@ from .objective import (
     _own_and_best,
     certified_report,
     evaluate,
+    score_cells,
 )
 from .probability import Quantizer, posteriors
 
@@ -63,16 +64,6 @@ SEPARATION_TOL = CERTIFICATE_TOL
 #: row, when one alone is larger): at 128 KiB and above (glibc's default mmap
 #: threshold) numpy's temporaries page-fault afresh on every block.
 _BLOCK_ENTRIES = 2**14
-
-
-def _block_objectives(spec: ProblemSpec, cells: np.ndarray) -> np.ndarray:
-    """Objectives of an N x C x K stack of cell joints: ``score_cells`` on all C candidates at once."""
-    n, c, _ = cells.shape
-    # multiplying by the identity is exact
-    outputs = cells if spec.channel.is_identity else cells @ spec.channel.entries
-    # sums of nonnegative joint entries through a nonnegative relay need no check
-    f_values = _column_impurities(spec.impurity, outputs.reshape(n, -1)).reshape(c, -1).sum(axis=1)
-    return spec.beta * f_values + constraint_total(spec.constraint, cells.sum(axis=0))
 
 
 def _label_rows_cells(joint: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -129,7 +120,7 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
             cells = head_cells[:, p : p + 1]
             for s in range(m - low, m):
                 cells = _extend(cells, joint[:, s])
-            objs = _block_objectives(spec, cells)
+            objs = score_cells(spec, cells, cells.sum(axis=0))[3]
             pick = int(np.argmin(objs))
             if best_index is None or objs[pick] < best_obj:
                 best_obj, best_index = objs[pick], (first + p) * k**low + pick
@@ -196,7 +187,7 @@ def solve_binary_thresholds(spec: ProblemSpec) -> SolveReport:
     best_obj, best_labels = math.inf, None
     rank = np.argsort(_sorted_posterior_order(spec))
     for cells, interval, labellings in _interval_blocks(spec.joint.entries, k, rank, block):
-        objs = _block_objectives(spec, cells)
+        objs = score_cells(spec, cells, cells.sum(axis=0))[3]
         pick = int(np.argmin(objs))
         if best_labels is None or objs[pick] < best_obj:
             cut, labelling = divmod(pick, len(labellings))
@@ -229,10 +220,11 @@ def solve_dp_identity(spec: ProblemSpec) -> SolveReport:
     def interval_costs(a_first: int, b: int) -> np.ndarray:
         """Costs of intervals [a, b) for all a in [a_first, b)."""
         # differences of nondecreasing prefix sums are nonnegative
-        v = prefix[:, b][:, None] - prefix[:, a_first:b]
-        f_values = _column_impurities(spec.impurity, v)
-        g_values = np.asarray(constraint_total(spec.constraint, v.sum(axis=0)[:, None]))
-        return spec.beta * f_values + g_values
+        v = prefix[:, b][:, None, None] - prefix[:, a_first:b, None]
+        # each interval is a one-cell candidate: the identity channel keeps it
+        # apart from the other cells, and a cell-symmetric constraint scores
+        # it the same whichever cell it becomes
+        return score_cells(spec, v, v.sum(axis=0))[3]
 
     max_intervals = min(k, m)
     cost = np.full((max_intervals + 1, m + 1), math.inf)

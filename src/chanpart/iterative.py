@@ -29,6 +29,13 @@ from .probability import Quantizer, cell_joints, posteriors
 
 SWEEP_MODES = ("sequential", "batch")
 
+#: Ends restarts in both modes.  A sequential sweep whose objective drop is
+#: at most this counts as converged, exactly like a sweep that moves nothing
+#: (so ``reseed_empty`` still gets its turn): such a sweep only shuffles
+#: symbols between tied cells.  In batch mode a sweep that raises the
+#: objective by more than this trips the cycle guard.
+CONVERGENCE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -40,13 +47,6 @@ class SolverOptions:
     farthest from its own cell into an empty cell whenever a sweep converges
     with empty cells left (at most once per cell per restart); the forced
     move may raise the objective, so it is off by default.
-
-    ``tolerance`` ends restarts in both modes.  A sequential sweep whose
-    objective drop is at most ``tolerance`` counts as converged, exactly like
-    a sweep that moves nothing (so ``reseed_empty`` still gets its turn):
-    such a sweep only shuffles symbols between tied cells.  In batch mode a
-    sweep that raises the objective by more than ``tolerance`` trips the
-    cycle guard.
     """
 
     max_iterations: int = 500
@@ -54,7 +54,6 @@ class SolverOptions:
     seed: int = 0
     initial_assignment: tuple[int, ...] | None = None
     sweep_mode: str = "sequential"
-    tolerance: float = 1e-12
     reseed_empty: bool = False
 
     def __post_init__(self) -> None:
@@ -64,8 +63,6 @@ class SolverOptions:
             raise OutOfRangeError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
             raise OutOfRangeError(f"seed must be nonnegative, got {self.seed}")
-        if self.tolerance < 0.0:
-            raise OutOfRangeError(f"tolerance must be nonnegative, got {self.tolerance}")
         if self.sweep_mode not in SWEEP_MODES:
             raise OutOfRangeError(f"sweep_mode must be one of {SWEEP_MODES}, got {self.sweep_mode!r}")
         if self.initial_assignment is not None:
@@ -128,7 +125,7 @@ class _SweepEngine:
     @property
     def objective(self) -> float:
         if self._objective is None:
-            self._objective = score_cells(self.spec, self.clusters, self.mass)[3]
+            self._objective = float(score_cells(self.spec, self.clusters, self.mass)[3])
         return self._objective
 
     def rebuild(self) -> None:
@@ -265,12 +262,12 @@ def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions):
         if engine.objective < best_obj:
             best_obj = engine.objective
             best_assignment = engine.assignment.copy()
-        if not sequential and engine.objective > trace[-2] + opts.tolerance:
+        if not sequential and engine.objective > trace[-2] + CONVERGENCE_TOL:
             # batch updates can cycle; stop and keep the best partition seen
             trace.append(best_obj)
             break
-        # a sequential sweep that gains at most `tolerance` only shuffles ties
-        if changed == 0 or (sequential and trace[-2] - engine.objective <= opts.tolerance):
+        # a sequential sweep that gains at most CONVERGENCE_TOL only shuffles ties
+        if changed == 0 or (sequential and trace[-2] - engine.objective <= CONVERGENCE_TOL):
             if opts.reseed_empty and engine.reseed_empty_cells(reseeded):
                 trace.append(engine.objective)
                 continue
@@ -286,7 +283,7 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
 
     Within a restart, statistics updates alternate with nearest-distance
     reassignment until a sweep changes nothing, a sequential sweep gains at
-    most ``tolerance``, or ``max_iterations`` is hit.
+    most ``CONVERGENCE_TOL``, or ``max_iterations`` is hit.
     The restart with the smallest final objective wins (ties keep the
     earliest restart).  Identical spec and options give a bit-identical
     report.

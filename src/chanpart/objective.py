@@ -37,8 +37,8 @@ from .errors import (
 from .impurity import (
     ConstraintSpec,
     ImpuritySpec,
+    _column_impurities,
     column_gradients,
-    column_impurities,
     constraint_derivatives,
     constraint_total,
 )
@@ -48,7 +48,6 @@ from .probability import (
     JointDistribution,
     OutputJoints,
     Quantizer,
-    cluster_joints_array,
     posteriors,
     push_to_clusters,
 )
@@ -127,12 +126,23 @@ class SolveReport:
         return self.best_quantizer.hard_assignment
 
 
-def score_cells(spec: ProblemSpec, clusters: np.ndarray, mass: np.ndarray) -> tuple:
-    """``(outputs, F_value, G_value, objective)`` of N x K cell joints; every solver scores here."""
-    outputs = clusters @ spec.channel.entries
-    f_value = float(column_impurities(spec.impurity, outputs).sum())
-    g_value = float(constraint_total(spec.constraint, mass))
-    return outputs, f_value, g_value, spec.beta * f_value + g_value
+def score_cells(spec: ProblemSpec, cells: np.ndarray, mass: np.ndarray) -> tuple:
+    """``(outputs, F, G, objective)`` of cell joints; every solver scores here.
+
+    ``cells`` holds the K cells on its last axis: one N x K partition, with
+    ``mass`` its K cell masses and scalar F, G and objective, or N x C x K
+    for C candidates at once, with C x K masses and C-vectors of F, G and
+    objective.  A candidate's F has the bits it would get alone; under a
+    linear constraint its G may differ in the last bits, as C masses meet
+    the weights in one matrix product.
+    """
+    # multiplying by the identity is exact
+    outputs = cells if spec.channel.is_identity else cells @ spec.channel.entries
+    # sums of nonnegative joint entries through a nonnegative relay need no check
+    impurities = _column_impurities(spec.impurity, outputs.reshape(len(outputs), -1))
+    f_values = impurities.reshape(outputs.shape[1:]).sum(axis=-1)
+    g_values = constraint_total(spec.constraint, mass)
+    return outputs, f_values, g_values, spec.beta * f_values + g_values
 
 
 def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
@@ -150,9 +160,9 @@ def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
         output_joints=OutputJoints(entries=outputs, output_mass=outputs.sum(axis=0)),
         output_gradients=column_gradients(spec.impurity, outputs),
         constraint_derivatives=constraint_derivatives(spec.constraint, clusters.cluster_mass),
-        F_value=f_value,
-        G_value=g_value,
-        objective=objective,
+        F_value=float(f_value),
+        G_value=float(g_value),
+        objective=float(objective),
     )
 
 
@@ -279,8 +289,8 @@ def path_objective(
     if not (0.0 <= t <= 1.0):
         raise OutOfRangeError(f"move fraction must lie in [0, 1], got {t}")
 
-    entries = cluster_joints_array(spec.joint, quantizer)
-    mass = entries.sum(axis=0)
+    clusters = push_to_clusters(spec.joint, quantizer)
+    entries, mass = np.array(clusters.entries), np.array(clusters.cluster_mass)
     u = spec.joint.entries[:, m]
     pm = float(spec.joint.symbol_marginal[m])
     entries[:, source_cell] -= t * u
@@ -290,4 +300,4 @@ def path_objective(
     # float dust from the subtraction at t = 1
     np.maximum(entries, 0.0, out=entries)
     np.clip(mass, 0.0, 1.0, out=mass)
-    return score_cells(spec, entries, mass)[3]
+    return float(score_cells(spec, entries, mass)[3])

@@ -9,12 +9,15 @@ Both pushes are linear maps on joint distributions:
     p(X_n, T_h) = sum_k p(X_n, Z_k) * A[k, h]
 
 All containers are immutable after construction (arrays are copied and made
-read-only), so they can be shared freely across threads.
+read-only), so they can be shared freely across threads.  Every container
+refuses non-finite and materially negative entries and mass that does not
+add up; one checker, ``_distribution``, decides what a valid array is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,30 +45,40 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_nonnegative(a: np.ndarray, what: str) -> np.ndarray:
-    """Reject non-finite and materially negative entries, clip float dust up to 0."""
+def _distribution(raw, what: str, tol: float, rows: bool, min_rows: int = 1) -> np.ndarray:
+    """Checked probability array: 2-D of at least ``min_rows`` rows and one
+    column, finite, no entry below ``-INVARIANT_TOL`` (float dust is clipped
+    to 0), and each row (``rows``) or else the total within ``tol`` of 1.
+    Every container and validator checks here, in that order."""
+    a = np.asarray(raw, dtype=float)
+    if a.ndim != 2 or a.shape[0] < min_rows or a.shape[1] < 1:
+        raise DimensionMismatchError(f"{what} needs a 2-D shape of at least ({min_rows}, 1), got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise OutOfRangeError(f"{what} has a non-finite entry")
     if np.any(a < -INVARIANT_TOL):
-        worst = float(a.min())
-        raise NegativeEntryError(f"{what} has negative entry {worst}")
-    return np.maximum(a, 0.0)
-
-
-def _joint_entries(raw, tol: float) -> np.ndarray:
-    """Checked joint matrix: 2-D, N >= 2, finite, nonnegative, total within ``tol`` of 1."""
-    a = np.asarray(raw, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"joint must be a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 2 or a.shape[1] < 1:
-        raise DimensionMismatchError(
-            f"joint needs at least 2 source rows and 1 data column, got shape {a.shape}"
-        )
-    a = _check_nonnegative(a, "joint distribution")
-    total = float(a.sum())
-    if abs(total - 1.0) > tol:
-        raise SumNotOneError(f"joint distribution sums to {total!r}, expected 1 within {tol}")
+        raise NegativeEntryError(f"{what} has negative entry {float(a.min())}")
+    a = np.maximum(a, 0.0)
+    sums = a.sum(axis=1 if rows else None, keepdims=True).ravel()
+    bad = int(np.argmax(np.abs(sums - 1.0)))
+    if abs(sums[bad] - 1.0) > tol:
+        name = f"{what} row {bad}" if rows else what
+        raise SumNotOneError(f"{name} sums to {float(sums[bad])!r}, expected 1 within {tol}")
     return a
+
+
+def _with_mass(container, mass_field: str, what: str) -> None:
+    """Check and freeze a joint container: its ``entries`` are a distribution
+    and its mass vector holds their column sums."""
+    a = np.asarray(container.entries, dtype=float)
+    w = np.asarray(getattr(container, mass_field), dtype=float)
+    if a.ndim != 2 or w.ndim != 1 or a.shape[1] != w.shape[0]:
+        raise DimensionMismatchError(f"{what} entries {a.shape} inconsistent with mass vector {w.shape}")
+    a = _distribution(a, f"{what} joint matrix", INVARIANT_TOL, rows=False)
+    # written so that a NaN mass fails
+    if not np.all(np.abs(a.sum(axis=0) - w) <= INVARIANT_TOL):
+        raise SumNotOneError(f"{what} column sums disagree with {mass_field}")
+    object.__setattr__(container, "entries", _readonly(a))
+    object.__setattr__(container, mass_field, _readonly(w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +93,7 @@ class JointDistribution:
     entries: np.ndarray  # shape (N, M)
 
     def __post_init__(self) -> None:
-        a = _joint_entries(self.entries, INVARIANT_TOL)
+        a = _distribution(self.entries, "joint distribution", INVARIANT_TOL, rows=False, min_rows=2)
         col = a.sum(axis=0)
         if np.any(col <= 0.0):
             dead = int(np.argmin(col))
@@ -113,23 +126,8 @@ def validate_joint(raw) -> JointDistribution:
     ``INPUT_TOL``; larger deviations raise ``SumNotOneError``.  Negative
     entries and all-zero columns are rejected.
     """
-    a = _joint_entries(raw, INPUT_TOL)
+    a = _distribution(raw, "joint distribution", INPUT_TOL, rows=False, min_rows=2)
     return JointDistribution(a / float(a.sum()))
-
-
-def _channel_entries(raw, tol: float) -> np.ndarray:
-    """Checked channel matrix: nonempty 2-D, finite, nonnegative, rows within ``tol`` of 1."""
-    a = np.asarray(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatchError(f"channel must be a nonempty 2-D matrix, got shape {a.shape}")
-    a = _check_nonnegative(a, "channel matrix")
-    rows = a.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > tol):
-        bad = int(np.argmax(np.abs(rows - 1.0)))
-        raise SumNotOneError(
-            f"channel row {bad} sums to {float(rows[bad])!r}, expected 1 within {tol}"
-        )
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +137,7 @@ class ChannelMatrix:
     entries: np.ndarray  # shape (K, H)
 
     def __post_init__(self) -> None:
-        a = _channel_entries(self.entries, INVARIANT_TOL)
+        a = _distribution(self.entries, "channel matrix", INVARIANT_TOL, rows=True)
         object.__setattr__(self, "entries", _readonly(a))
 
     @classmethod
@@ -155,7 +153,7 @@ class ChannelMatrix:
     def num_outputs(self) -> int:
         return self.entries.shape[1]
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         k, h = self.entries.shape
         return k == h and bool(np.array_equal(self.entries, np.eye(k)))
@@ -163,7 +161,7 @@ class ChannelMatrix:
 
 def validate_channel(raw) -> ChannelMatrix:
     """Validate an externally supplied channel, renormalizing rows within INPUT_TOL."""
-    a = _channel_entries(raw, INPUT_TOL)
+    a = _distribution(raw, "channel matrix", INPUT_TOL, rows=True)
     return ChannelMatrix(a / a.sum(axis=1)[:, None])
 
 
@@ -208,17 +206,11 @@ class Quantizer:
             if self.soft_assignment is None or self.hard_assignment is not None:
                 raise DimensionMismatchError("soft quantizer requires soft_assignment only")
             s = np.asarray(self.soft_assignment, dtype=float)
-            if s.ndim != 2 or s.shape[0] < 1:
-                raise DimensionMismatchError("soft_assignment must be an M x K matrix")
-            if s.shape[1] != self.num_cells:
+            if s.ndim == 2 and s.shape[1] != self.num_cells:
                 raise DimensionMismatchError(
                     f"soft_assignment has {s.shape[1]} columns, expected {self.num_cells}"
                 )
-            s = _check_nonnegative(s, "soft assignment")
-            rows = s.sum(axis=1)
-            if np.any(np.abs(rows - 1.0) > INVARIANT_TOL):
-                bad = int(np.argmax(np.abs(rows - 1.0)))
-                raise SumNotOneError(f"soft row {bad} sums to {float(rows[bad])!r}, expected 1")
+            s = _distribution(s, "soft assignment", INVARIANT_TOL, rows=True)
             object.__setattr__(self, "soft_assignment", _readonly(s))
 
     @classmethod
@@ -252,18 +244,7 @@ class ClusterJoints:
     cluster_mass: np.ndarray  # shape (K,)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
-        w = np.asarray(self.cluster_mass, dtype=float)
-        if a.ndim != 2 or w.ndim != 1 or a.shape[1] != w.shape[0]:
-            raise DimensionMismatchError(
-                f"cluster entries {a.shape} inconsistent with mass vector {w.shape}"
-            )
-        if np.any(np.abs(a.sum(axis=0) - w) > INVARIANT_TOL):
-            raise SumNotOneError("cluster column sums disagree with cluster_mass")
-        if abs(float(a.sum()) - 1.0) > INVARIANT_TOL:
-            raise SumNotOneError(f"cluster joints sum to {float(a.sum())!r}, expected 1")
-        object.__setattr__(self, "entries", _readonly(a))
-        object.__setattr__(self, "cluster_mass", _readonly(w))
+        _with_mass(self, "cluster_mass", "cluster")
 
     @property
     def num_cells(self) -> int:
@@ -278,16 +259,7 @@ class OutputJoints:
     output_mass: np.ndarray  # shape (H,)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
-        w = np.asarray(self.output_mass, dtype=float)
-        if a.ndim != 2 or w.ndim != 1 or a.shape[1] != w.shape[0]:
-            raise DimensionMismatchError(
-                f"output entries {a.shape} inconsistent with mass vector {w.shape}"
-            )
-        if abs(float(a.sum()) - 1.0) > INVARIANT_TOL:
-            raise SumNotOneError(f"output joints sum to {float(a.sum())!r}, expected 1")
-        object.__setattr__(self, "entries", _readonly(a))
-        object.__setattr__(self, "output_mass", _readonly(w))
+        _with_mass(self, "output_mass", "output")
 
     @property
     def num_outputs(self) -> int:
@@ -308,26 +280,19 @@ def cell_joints(joint: JointDistribution, labels: np.ndarray, num_cells: int) ->
     return out
 
 
-def cluster_joints_array(joint: JointDistribution, quantizer: Quantizer) -> np.ndarray:
-    """Raw N x K cluster-joint matrix (no container bookkeeping).
+def push_to_clusters(joint: JointDistribution, quantizer: Quantizer) -> ClusterJoints:
+    """Aggregate the joint over the quantizer cells: p(X_n, Z_k).
 
-    ``push_to_clusters`` wraps it in the validated container.
+    Empty cells are legal and yield all-zero columns.
     """
     if quantizer.num_points != joint.num_symbols:
         raise DimensionMismatchError(
             f"quantizer covers {quantizer.num_points} symbols, joint has {joint.num_symbols}"
         )
     if quantizer.kind == "hard":
-        return cell_joints(joint, quantizer.hard_assignment, quantizer.num_cells)
-    return joint.entries @ quantizer.soft_assignment
-
-
-def push_to_clusters(joint: JointDistribution, quantizer: Quantizer) -> ClusterJoints:
-    """Aggregate the joint over the quantizer cells: p(X_n, Z_k).
-
-    Empty cells are legal and yield all-zero columns.
-    """
-    entries = cluster_joints_array(joint, quantizer)
+        entries = cell_joints(joint, quantizer.hard_assignment, quantizer.num_cells)
+    else:
+        entries = joint.entries @ quantizer.soft_assignment
     return ClusterJoints(entries=entries, cluster_mass=entries.sum(axis=0))
 
 

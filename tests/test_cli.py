@@ -200,6 +200,23 @@ class TestSolve:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["assignment"] == [1, 1, 2, 2]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["solve", "--output", "{missing}/r.json"],
+            ["solve", "--emit-posteriors", "{missing}/p.csv"],
+            ["compare", "--output", "{missing}/r.json"],
+        ],
+        ids=["solve-output", "solve-posteriors", "compare-output"],
+    )
+    def test_unwritable_output_exits_2_naming_path(self, tmp_path, capsys, flags):
+        command, flag, target = flags
+        target = target.format(missing=tmp_path / "missing")
+        code = main([command, write_doc(tmp_path, e1_doc()), flag, target])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and target in err
+
     def test_bad_flag_override_exits_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, e1_doc(solver="iterative"))
         code = main(["solve", path, "--restarts", "0"])

@@ -113,21 +113,21 @@ class _Stop(Exception):
 def first_block_sizes(monkeypatch, solve, spec, calls):
     """(rows, entries) of the label and cell-joint arrays of ``solve``'s first ``calls`` blocks."""
     sizes = []
-    label_rows_cells, block_objectives = exact._label_rows_cells, exact._block_objectives
+    label_rows_cells, score_cells = exact._label_rows_cells, exact.score_cells
 
     def built(joint, labels, k):
         cells = label_rows_cells(joint, labels, k)
         sizes.extend([(len(labels), labels.size), (cells.shape[1], cells.size)])
         return cells
 
-    def scored(spec, cells):
+    def scored(spec, cells, mass):
         sizes.append((cells.shape[1], cells.size))
         if len(sizes) >= calls:
             raise _Stop
-        return block_objectives(spec, cells)
+        return score_cells(spec, cells, mass)
 
     monkeypatch.setattr(exact, "_label_rows_cells", built)
-    monkeypatch.setattr(exact, "_block_objectives", scored)
+    monkeypatch.setattr(exact, "score_cells", scored)
     with pytest.raises(_Stop):
         solve(spec)
     return sizes
@@ -322,7 +322,7 @@ class TestOracleAgreement:
         for column in joint.T:
             extended = exact._extend(extended, column)
         np.testing.assert_array_equal(extended, cells)  # both sum in ascending symbol order
-        blocked = exact._block_objectives(spec, cells)
+        blocked = exact.score_cells(spec, cells, cells.sum(axis=0))[3]
         expected = np.array([_scored(spec, row) for row in labels])
         if spec.constraint.kind == "linear":
             # masses @ weights is a BLAS gemv here and a dot in score_cells: they may round apart

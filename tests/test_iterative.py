@@ -332,6 +332,10 @@ class TestOptionsValidation:
         with pytest.raises(TypeError):
             SolverOptions(init="provided")
 
+    def test_tolerance_is_gone(self):
+        with pytest.raises(TypeError):
+            SolverOptions(tolerance=1e-9)
+
     def test_equality_and_hash_follow_the_labels(self):
         from_list = SolverOptions(initial_assignment=[0, 1, 0, 1])
         from_array = SolverOptions(initial_assignment=np.array([0, 1, 0, 1]))

@@ -5,9 +5,12 @@ import pytest
 
 from chanpart import (
     ChannelMatrix,
+    ClusterJoints,
     DimensionMismatchError,
     IndexOutOfRangeError,
     NegativeEntryError,
+    OutOfRangeError,
+    OutputJoints,
     Quantizer,
     SumNotOneError,
     ZeroColumnError,
@@ -146,6 +149,21 @@ class TestPushThroughChannel:
         c = push_to_clusters(j, Quantizer.hard([0, 0, 1, 1], 2))
         with pytest.raises(DimensionMismatchError):
             push_through_channel(c, ChannelMatrix.identity(3))
+
+
+@pytest.mark.parametrize("container", [ClusterJoints, OutputJoints])
+@pytest.mark.parametrize(
+    ("entries", "mass", "error"),
+    [
+        ([[np.nan, 0.5], [0.5, 0.0]], [0.5, 0.5], OutOfRangeError),
+        ([[-0.5, 1.0], [0.25, 0.25]], [-0.25, 1.25], NegativeEntryError),
+        ([[0.25, 0.25], [0.25, 0.25]], [0.9, 0.1], SumNotOneError),
+    ],
+    ids=["nan-entry", "negative-entry", "mass-off-the-column-sums"],
+)
+def test_joint_containers_refuse_what_validation_refuses(container, entries, mass, error):
+    with pytest.raises(error):
+        container(np.array(entries), np.array(mass))
 
 
 class TestConservation:
