@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
@@ -25,7 +26,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .exact import solve_binary_thresholds, solve_bruteforce, solve_dp_identity
-from .impurity import CONSTRAINT_KINDS, IMPURITY_KINDS, ConstraintSpec, ImpuritySpec, gradient_bound
+from .impurity import ConstraintSpec, ImpuritySpec, gradient_bound
 from .iterative import SolveReport, SolverOptions, solve_iterative
 from .objective import ProblemSpec
 from .probability import ChannelMatrix, posteriors, validate_channel, validate_joint
@@ -88,14 +89,21 @@ def _echo(text: str) -> str:
     return f"{text[:ECHO_LIMIT]}... ({len(text) - ECHO_LIMIT} more characters)"
 
 
-def _positive_int(value, key: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InputFileError(f"{key}: expected a positive integer, got {_echo(repr(value))}")
-    return value
+@contextmanager
+def _refusal(key: str):
+    """Report a library type's refusal of the value under ``key`` as an :class:`InputFileError`."""
+    try:
+        yield
+    except (ChanpartError, ValueError, TypeError, OverflowError) as exc:
+        raise InputFileError(f"{key}: {_echo(str(exc))}") from exc
 
 
 def parse_problem_document(doc) -> ProblemFile:
-    """Build a validated :class:`ProblemFile` from a decoded JSON document."""
+    """Build a validated :class:`ProblemFile` from a decoded JSON document.
+
+    The file's own rules are checked here; every value goes to the library
+    type that owns it, and a refusal there is reported under the value's key.
+    """
     if not isinstance(doc, dict):
         raise InputFileError("document: expected a JSON object at top level")
     for key in doc:
@@ -105,24 +113,17 @@ def parse_problem_document(doc) -> ProblemFile:
     if fmt != 1:
         raise InputFileError(f"format: unsupported version {_echo(repr(fmt))}, expected 1")
 
-    try:
-        joint = validate_joint(np.asarray(_require(doc, "joint_xy"), dtype=float))
-    except InputFileError:
-        raise
-    except (ChanpartError, ValueError, TypeError, OverflowError) as exc:
-        raise InputFileError(f"joint_xy: {_echo(str(exc))}") from exc
+    joint_doc = _require(doc, "joint_xy")
+    with _refusal("joint_xy"):
+        joint = validate_joint(np.asarray(joint_doc, dtype=float))
 
-    num_cells = _positive_int(_require(doc, "num_cells"), "num_cells")
+    num_cells = _require(doc, "num_cells")
+    if not isinstance(num_cells, int) or isinstance(num_cells, bool) or num_cells < 1:
+        raise InputFileError(f"num_cells: expected a positive integer, got {_echo(repr(num_cells))}")
 
     if "channel" in doc and doc["channel"] is not None:
-        try:
+        with _refusal("channel"):
             channel = validate_channel(np.asarray(doc["channel"], dtype=float))
-        except (ChanpartError, ValueError, TypeError, OverflowError) as exc:
-            raise InputFileError(f"channel: {_echo(str(exc))}") from exc
-        if channel.num_inputs != num_cells:
-            raise InputFileError(
-                f"channel: has {channel.num_inputs} rows but num_cells is {num_cells}"
-            )
     else:
         try:
             channel = ChannelMatrix.identity(num_cells)
@@ -136,34 +137,21 @@ def parse_problem_document(doc) -> ProblemFile:
         raise InputFileError(f"beta: expected a positive finite number, got {_echo(repr(beta))}")
 
     impurity_name = _require(doc, "impurity")
-    if impurity_name not in IMPURITY_KINDS:
-        raise InputFileError(f"impurity: unknown name {_echo(repr(impurity_name))}, expected one of {IMPURITY_KINDS}")
-    impurity = ImpuritySpec(impurity_name)
+    with _refusal("impurity"):
+        impurity = ImpuritySpec(impurity_name)
 
     constraint_doc = _require(doc, "constraint")
     if isinstance(constraint_doc, str):
         constraint_doc = {"kind": constraint_doc}
     if not isinstance(constraint_doc, dict) or "kind" not in constraint_doc:
         raise InputFileError("constraint: expected a name or an object with a 'kind'")
-    kind = constraint_doc["kind"]
-    if kind not in CONSTRAINT_KINDS:
-        raise InputFileError(f"constraint: unknown kind {_echo(repr(kind))}, expected one of {CONSTRAINT_KINDS}")
     for key in constraint_doc:
         if key not in ("kind", "weights"):
             raise InputFileError(f"constraint.{_echo(str(key))}: unknown key")
-    try:
-        if kind == "linear":
-            constraint = ConstraintSpec.linear(np.asarray(constraint_doc.get("weights"), dtype=float))
-        else:
-            if constraint_doc.get("weights") is not None:
-                raise InputFileError(f"constraint: kind {_echo(repr(kind))} takes no weights")
-            constraint = ConstraintSpec(kind)
-    except InputFileError:
-        raise
-    except (ChanpartError, ValueError, TypeError, OverflowError) as exc:
-        raise InputFileError(f"constraint: {_echo(str(exc))}") from exc
+    with _refusal("constraint"):
+        constraint = ConstraintSpec(constraint_doc["kind"], constraint_doc.get("weights"))
 
-    try:
+    with _refusal("problem"):
         spec = ProblemSpec(
             joint=joint,
             channel=channel,
@@ -172,14 +160,12 @@ def parse_problem_document(doc) -> ProblemFile:
             constraint=constraint,
             beta=float(beta),
         )
-    except ChanpartError as exc:
-        raise InputFileError(f"problem: {_echo(str(exc))}") from exc
     # beta * F <= beta * impurity(p_X) (F is superadditive) and beta times a distance's gradient
     # term are both within beta * gradient_bound; a linear constraint adds at most max |w|
     scaled = spec.beta * gradient_bound(impurity, joint.num_sources)
     if not scaled < OBJECTIVE_LIMIT:
         raise InputFileError(f"beta: {_echo(repr(beta))} is too large: the objective could overflow")
-    if kind == "linear" and not scaled + float(np.abs(constraint.weights).max()) < OBJECTIVE_LIMIT:
+    if constraint.kind == "linear" and not scaled + float(np.abs(constraint.weights).max()) < OBJECTIVE_LIMIT:
         raise InputFileError("constraint: linear weights too large: the objective could overflow")
 
     solver = _require(doc, "solver")
@@ -194,22 +180,8 @@ def parse_problem_document(doc) -> ProblemFile:
     for key in option_doc:
         if key not in OPTION_KEYS:
             raise InputFileError(f"options.{_echo(str(key))}: unknown key")
-    kwargs = {}
-    if "seed" in option_doc:
-        seed = option_doc["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise InputFileError(f"options.seed: expected a nonnegative integer, got {_echo(repr(seed))}")
-        kwargs["seed"] = seed
-    if "restarts" in option_doc:
-        kwargs["restarts"] = _positive_int(option_doc["restarts"], "options.restarts")
-    if "max_iterations" in option_doc:
-        kwargs["max_iterations"] = _positive_int(option_doc["max_iterations"], "options.max_iterations")
-    if "sweep_mode" in option_doc:
-        mode = option_doc["sweep_mode"]
-        if mode not in ("sequential", "batch"):
-            raise InputFileError(f"options.sweep_mode: expected 'sequential' or 'batch', got {_echo(repr(mode))}")
-        kwargs["sweep_mode"] = mode
-    options = SolverOptions(**kwargs)
+    with _refusal("options"):
+        options = SolverOptions(**option_doc)
 
     return ProblemFile(spec=spec, solver=solver, options=options)
 
@@ -363,22 +335,16 @@ def write_posterior_csv(path: str, spec: ProblemSpec, report: SolveReport) -> No
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    overrides = {name: getattr(args, name) for name in ("seed", "restarts") if getattr(args, name) is not None}
     try:
         pf = parse_problem_file(args.file)
+        with _refusal("options"):
+            options = replace(pf.options, **overrides)
     except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     solver = args.solver if args.solver is not None else pf.solver
-    options = pf.options
-    try:
-        if args.seed is not None:
-            options = replace(options, seed=args.seed)
-        if args.restarts is not None:
-            options = replace(options, restarts=args.restarts)
-    except ChanpartError as exc:
-        print(f"error: options: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
     try:
         report = _run_named_solver(solver, pf.spec, options)

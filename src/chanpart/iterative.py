@@ -18,10 +18,11 @@ its first move are the ones a symbol-by-symbol visit makes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IndexOutOfRangeError, OutOfRangeError
+from .errors import DimensionMismatchError, OutOfRangeError
 from .impurity import _column_gradients, constraint_derivatives
 # SolveReport is also imported from this module by callers
 from .objective import ProblemSpec, SolveReport, _distances, certified_report, score_cells
@@ -41,12 +42,14 @@ CONVERGENCE_TOL = 1e-12
 class SolverOptions:
     """Knobs for :func:`solve_iterative`.
 
-    A given ``initial_assignment`` runs a single pass from those labels
-    instead of ``restarts`` random starts; it is stored as a tuple of ints,
-    so options compare and hash by value.  ``reseed_empty`` moves the point
-    farthest from its own cell into an empty cell whenever a sweep converges
-    with empty cells left (at most once per cell per restart); the forced
-    move may raise the objective, so it is off by default.
+    ``max_iterations``, ``restarts`` and ``seed`` must be integers, not
+    bools.  A given ``initial_assignment`` runs a single pass from those
+    labels instead of ``restarts`` random starts; it is stored as a tuple, so
+    options compare and hash by value, and :meth:`Quantizer.hard` checks the
+    labels when the pass starts.  ``reseed_empty`` moves the point farthest
+    from its own cell into an empty cell whenever a sweep converges with
+    empty cells left (at most once per cell per restart); the forced move
+    may raise the objective, so it is off by default.
     """
 
     max_iterations: int = 500
@@ -57,17 +60,17 @@ class SolverOptions:
     reseed_empty: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise OutOfRangeError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.restarts < 1:
-            raise OutOfRangeError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise OutOfRangeError(f"seed must be nonnegative, got {self.seed}")
+        bounds = (("max_iterations", 1, ">= 1"), ("restarts", 1, ">= 1"), ("seed", 0, "nonnegative"))
+        for name, least, rule in bounds:
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise OutOfRangeError(f"{name} must be {rule}, got {value}")
         if self.sweep_mode not in SWEEP_MODES:
             raise OutOfRangeError(f"sweep_mode must be one of {SWEEP_MODES}, got {self.sweep_mode!r}")
         if self.initial_assignment is not None:
-            labels = tuple(np.asarray(self.initial_assignment, dtype=np.int64).tolist())
-            object.__setattr__(self, "initial_assignment", labels)
+            object.__setattr__(self, "initial_assignment", tuple(np.asarray(self.initial_assignment).tolist()))
 
 
 class _SweepEngine:
@@ -105,16 +108,12 @@ class _SweepEngine:
 
     def __init__(self, spec: ProblemSpec, assignment: np.ndarray) -> None:
         self.spec = spec
-        self.assignment = np.array(assignment, dtype=np.int64)
+        self.assignment = np.array(Quantizer.hard(assignment, spec.num_cells).hard_assignment)
         if self.assignment.shape != (spec.num_symbols,):
             raise DimensionMismatchError(
                 f"assignment shape {self.assignment.shape} does not cover "
                 f"{spec.num_symbols} symbols"
             )
-        if self.assignment.size and (
-            self.assignment.min() < 0 or self.assignment.max() >= spec.num_cells
-        ):
-            raise IndexOutOfRangeError("assignment labels out of range")
         self.joint = spec.joint.entries
         self.symbol_mass = spec.joint.symbol_marginal
         self.channel = spec.channel.entries
@@ -229,7 +228,7 @@ def reassign_sweep(spec: ProblemSpec, assignment, mode: str = "sequential"):
         if assignment.kind != "hard":
             raise OutOfRangeError("reassignment sweeps operate on hard quantizers")
         assignment = assignment.hard_assignment
-    engine = _SweepEngine(spec, np.asarray(assignment))
+    engine = _SweepEngine(spec, assignment)
     changed = engine.sweep_sequential() if mode == "sequential" else engine.sweep_batch()
     return engine.assignment.copy(), changed
 

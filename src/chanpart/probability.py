@@ -192,14 +192,15 @@ class Quantizer:
             if a.ndim != 1 or a.size < 1:
                 raise DimensionMismatchError("hard_assignment must be a nonempty vector")
             if not np.issubdtype(a.dtype, np.integer):
-                if not np.all(a == np.floor(a)):
+                if not np.all(np.isfinite(a) & (a == np.floor(a))):
                     raise IndexOutOfRangeError("hard_assignment must hold integer cell labels")
-            a = a.astype(np.int64, copy=True)
+            # checked before the cast, which would wrap a label past the int64 range
             if a.min() < 0 or a.max() >= self.num_cells:
                 raise IndexOutOfRangeError(
                     f"cell labels must lie in [0, {self.num_cells}), got range "
                     f"[{int(a.min())}, {int(a.max())}]"
                 )
+            a = a.astype(np.int64, copy=True)
             a.setflags(write=False)
             object.__setattr__(self, "hard_assignment", a)
         else:
@@ -219,9 +220,8 @@ class Quantizer:
 
     @classmethod
     def soft(cls, membership) -> "Quantizer":
-        m = np.asarray(membership, dtype=float)
-        cells = m.shape[1] if m.ndim == 2 else 0
-        return cls(kind="soft", num_cells=cells, soft_assignment=m)
+        m = _distribution(membership, "soft assignment", INVARIANT_TOL, rows=True)
+        return cls(kind="soft", num_cells=m.shape[1], soft_assignment=m)
 
     @property
     def num_points(self) -> int:

@@ -153,6 +153,34 @@ class TestSolve:
             assert len(captured.err) < 2 * ECHO_LIMIT
             assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        ("overrides", "key"),
+        [
+            ({"impurity": "variance"}, "impurity"),
+            ({"constraint": "quadratic"}, "constraint"),
+            ({"constraint": {"kind": "none", "weights": [1.0, 2.0]}}, "constraint"),
+            ({"constraint": {"kind": "linear"}}, "constraint"),
+            ({"channel": [[0.5, 0.5]]}, "problem"),
+            ({"options": {"seed": -1}}, "options"),
+            ({"options": {"seed": True}}, "options"),
+            ({"options": {"restarts": 0}}, "options"),
+            ({"options": {"restarts": 1.5}}, "options"),
+            ({"options": {"sweep_mode": "diagonal"}}, "options"),
+        ],
+        ids=[
+            "impurity-name", "constraint-kind", "weights-on-none", "linear-without-weights",
+            "channel-rows", "seed-negative", "seed-bool", "restarts-zero", "restarts-fraction",
+            "sweep-mode",
+        ],
+    )
+    def test_library_refusal_exits_2_naming_key(self, tmp_path, capsys, overrides, key):
+        path = write_doc(tmp_path, e1_doc(**overrides))
+        for command in ("solve", "compare"):
+            assert main([command, path]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {key}: ")
+
     def test_unknown_impurity_exits_2(self, tmp_path, capsys):
         code = main(["solve", write_doc(tmp_path, e1_doc(impurity="variance"))])
         assert code == EXIT_INPUT
@@ -221,7 +249,12 @@ class TestSolve:
         path = write_doc(tmp_path, e1_doc(solver="iterative"))
         code = main(["solve", path, "--restarts", "0"])
         assert code == EXIT_INPUT
-        assert "restarts" in capsys.readouterr().err
+        by_flag = capsys.readouterr().err
+        assert "restarts" in by_flag
+        # the same refusal read from the file prints the same line
+        in_file = write_doc(tmp_path, e1_doc(solver="iterative", options={"restarts": 0}), name="file.json")
+        assert main(["solve", in_file]) == EXIT_INPUT
+        assert capsys.readouterr().err == by_flag
 
     def test_solver_and_seed_overrides(self, tmp_path, capsys):
         path = write_doc(tmp_path, e1_doc(solver="bruteforce"))

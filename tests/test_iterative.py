@@ -327,6 +327,9 @@ class TestOptionsValidation:
             SolverOptions(sweep_mode="diagonal")
         with pytest.raises(OutOfRangeError):
             SolverOptions(seed=-1)
+        for not_an_integer in ({"restarts": 1.5}, {"restarts": True}, {"max_iterations": 2.5}, {"seed": "1"}):
+            with pytest.raises(OutOfRangeError, match="must be an integer"):
+                SolverOptions(**not_an_integer)
 
     def test_init_is_gone(self):
         with pytest.raises(TypeError):
@@ -353,3 +356,8 @@ class TestOptionsValidation:
         wide = SolverOptions(initial_assignment=np.array([0, 1, 2, 0]))
         with pytest.raises(IndexOutOfRangeError):
             solve_iterative(e1_spec, wide)
+        fractional = [0.7, 1.2, 0.1, 1.9]
+        with pytest.raises(IndexOutOfRangeError):
+            solve_iterative(e1_spec, SolverOptions(initial_assignment=fractional))
+        with pytest.raises(IndexOutOfRangeError):
+            reassign_sweep(e1_spec, fractional)

@@ -205,10 +205,19 @@ class TestQuantizer:
     def test_rejects_label_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             Quantizer.hard([0, 2], 2)
+        for not_a_label in (0.5, np.inf, np.nan):
+            with pytest.raises(IndexOutOfRangeError, match="integer cell labels"):
+                Quantizer.hard([0, not_a_label], 2)
+        with pytest.raises(IndexOutOfRangeError, match=r"got range \[0, 1000000000000000019884624838656\]"):
+            Quantizer.hard([0, 1e30], 2)
 
     def test_rejects_bad_soft_rows(self):
         with pytest.raises(SumNotOneError):
             Quantizer.soft([[0.7, 0.7], [0.5, 0.5]])
+
+    def test_soft_refusal_names_the_shape(self):
+        with pytest.raises(DimensionMismatchError, match=r"soft assignment needs a 2-D shape .* got \(2,\)"):
+            Quantizer.soft([0.5, 0.5])
 
     def test_membership_matrix_is_one_hot(self):
         q = Quantizer.hard([1, 0, 1], 2)
