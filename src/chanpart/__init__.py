@@ -37,21 +37,15 @@ from .impurity import (
     GINI,
     ConstraintSpec,
     ImpuritySpec,
-    cell_gradient,
-    cell_impurity,
-    constraint_derivative,
-    constraint_value,
 )
 from .iterative import SolveReport, SolverOptions, reassign_sweep, solve_iterative
 from .objective import (
     EvaluatedState,
     ProblemSpec,
     assignment_is_distance_optimal,
-    distance,
     distance_matrix,
     evaluate,
     path_objective,
-    scaled_distance,
 )
 from .probability import (
     ChannelMatrix,
@@ -98,12 +92,7 @@ __all__ = [
     "ThresholdSolution",
     "ZeroColumnError",
     "assignment_is_distance_optimal",
-    "cell_gradient",
-    "cell_impurity",
     "check_hyperplane_separation",
-    "constraint_derivative",
-    "constraint_value",
-    "distance",
     "distance_matrix",
     "evaluate",
     "path_objective",
@@ -111,7 +100,6 @@ __all__ = [
     "push_through_channel",
     "push_to_clusters",
     "reassign_sweep",
-    "scaled_distance",
     "solve_binary_thresholds",
     "solve_bruteforce",
     "solve_dp_identity",

@@ -12,8 +12,8 @@ clamps its inputs away from zero at ``GRADIENT_CLAMP`` so that the entropy
 gradient, which diverges at the boundary, stays finite and comparable.
 
 The ``column_*`` functions are the vectorized kernels: they score many cells
-in one call and are the single code path behind the scalar operations, the
-objective evaluator, and the solvers.  They reject negative entries; the
+in one call and are the only impurity code, behind the objective evaluator,
+the certificate and the solvers.  They reject negative entries; the
 solvers' own columns are nonnegative by construction and go straight to the
 unchecked ``_column_*`` kernels behind them.
 """
@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    IndexOutOfRangeError,
     NegativeEntryError,
     NonPositiveEntryError,
     OutOfRangeError,
@@ -136,14 +135,6 @@ def _column_impurities(spec: ImpuritySpec, v: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def cell_impurity(spec: ImpuritySpec, v) -> float:
-    """Impurity of a single unnormalized cell vector (bits for entropy)."""
-    a = np.asarray(v, dtype=float)
-    if a.ndim != 1:
-        raise DimensionMismatchError(f"cell vector must be 1-D, got ndim={a.ndim}")
-    return float(column_impurities(spec, a[:, None])[0])
-
-
 def column_gradients(spec: ImpuritySpec, columns) -> np.ndarray:
     """Gradient of the column impurity with respect to each joint entry.
 
@@ -174,36 +165,9 @@ def gradient_bound(spec: ImpuritySpec, num_sources: int) -> float:
     return 2.0
 
 
-def cell_gradient(spec: ImpuritySpec, v) -> np.ndarray:
-    """Gradient of :func:`cell_impurity` at a single cell vector."""
-    a = np.asarray(v, dtype=float)
-    if a.ndim != 1:
-        raise DimensionMismatchError(f"cell vector must be 1-D, got ndim={a.ndim}")
-    return column_gradients(spec, a)
-
-
 # ---------------------------------------------------------------------------
 # Constraints on cell masses
 # ---------------------------------------------------------------------------
-
-
-def _check_cell_index(spec: ConstraintSpec, k: int) -> None:
-    if spec.kind == "linear" and not (0 <= k < spec.weights.size):
-        raise IndexOutOfRangeError(f"cell index {k} out of range for {spec.weights.size} weights")
-
-
-def constraint_value(spec: ConstraintSpec, k: int, p: float) -> float:
-    """Constraint contribution g_k(p) of cell k holding mass p."""
-    _check_cell_index(spec, k)
-    p = float(p)
-    if p < -NEG_TOL or p > 1.0 + NEG_TOL:
-        raise OutOfRangeError(f"cell mass must lie in [0, 1], got {p}")
-    p = min(max(p, 0.0), 1.0)
-    if spec.kind == "none":
-        return 0.0
-    if spec.kind == "entropy":
-        return 0.0 if p == 0.0 else float(-p * np.log2(p))
-    return float(spec.weights[k] * p)
 
 
 def constraint_total(spec: ConstraintSpec, masses) -> np.ndarray | float:
@@ -220,17 +184,6 @@ def constraint_total(spec: ConstraintSpec, masses) -> np.ndarray | float:
             )
         out = m @ spec.weights
     return float(out) if out.ndim == 0 else out
-
-
-def constraint_derivative(spec: ConstraintSpec, k: int, p: float) -> float:
-    """Derivative of g_k at mass p, clamped to [GRADIENT_CLAMP, 1] first."""
-    _check_cell_index(spec, k)
-    p = min(max(float(p), GRADIENT_CLAMP), 1.0)
-    if spec.kind == "none":
-        return 0.0
-    if spec.kind == "entropy":
-        return float(-(np.log2(p) + _LOG2E))
-    return float(spec.weights[k])
 
 
 def constraint_derivatives(spec: ConstraintSpec, masses) -> np.ndarray:

@@ -169,11 +169,10 @@ def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
 def _distances(channel, grads_t, cols, beta: float, offset) -> np.ndarray:
     """``beta * channel @ (grads_t @ cols) + offset`` in one fixed operation order.
 
-    The sweeps, the certificate and the single distances all compute
-    distances here, so they share one formula and one operation order.
-    ``channel`` is K x H, ``grads_t`` H x N, ``cols`` N x B, and ``offset``
-    broadcasts against the K x B result; one channel row and one column
-    give a single distance.
+    The sweeps and :func:`distance_matrix` (and through it the certificate)
+    all compute distances here, so they share one formula and one operation
+    order.  ``channel`` is K x H, ``grads_t`` H x N, ``cols`` N x B, and
+    ``offset`` broadcasts against the K x B result.
     """
     out = channel @ (grads_t @ cols)
     out *= beta
@@ -200,22 +199,6 @@ def _check_indices(spec: ProblemSpec, m: int, k: int) -> None:
         raise IndexOutOfRangeError(f"data index {m} out of range for {spec.num_symbols} symbols")
     if not (0 <= k < spec.num_cells):
         raise IndexOutOfRangeError(f"cell index {k} out of range for {spec.num_cells} cells")
-
-
-def distance(state: EvaluatedState, spec: ProblemSpec, m: int, k: int) -> float:
-    """Gradient-based distance from data symbol m to cell k."""
-    _check_indices(spec, m, k)
-    offset = state.constraint_derivatives[k] * spec.joint.symbol_marginal[m]
-    return float(_distances(spec.channel.entries[k], state.output_gradients.T,
-                            spec.joint.entries[:, m], spec.beta, offset))
-
-
-def scaled_distance(state: EvaluatedState, spec: ProblemSpec, m: int, k: int) -> float:
-    """Distance with the symbol mass divided out; same argmin as `distance`."""
-    _check_indices(spec, m, k)
-    post = spec.joint.entries[:, m] / spec.joint.symbol_marginal[m]
-    return float(_distances(spec.channel.entries[k], state.output_gradients.T, post,
-                            spec.beta, state.constraint_derivatives[k]))
 
 
 def _own_and_best(spec: ProblemSpec, state: EvaluatedState, labels) -> tuple:

@@ -192,7 +192,7 @@ class Quantizer:
             if a.ndim != 1 or a.size < 1:
                 raise DimensionMismatchError("hard_assignment must be a nonempty vector")
             if not np.issubdtype(a.dtype, np.integer):
-                if not np.all(np.isfinite(a) & (a == np.floor(a))):
+                if a.dtype == bool or not np.all(np.isfinite(a) & (a == np.floor(a))):
                     raise IndexOutOfRangeError("hard_assignment must hold integer cell labels")
             # checked before the cast, which would wrap a label past the int64 range
             if a.min() < 0 or a.max() >= self.num_cells:

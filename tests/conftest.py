@@ -14,6 +14,7 @@ from chanpart import (
     ProblemSpec,
     validate_joint,
 )
+from chanpart.impurity import column_impurities
 
 #: The worked 4-point example used throughout the unit tests: uniform p_Y,
 #: posteriors (0.8, 0.6, 0.2, 0.4), optimum partition {Y1, Y2} | {Y3, Y4}.
@@ -149,3 +150,8 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return float(-(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)))
+
+
+def impurities(spec: ImpuritySpec, *columns) -> np.ndarray:
+    """Impurity of each given cell vector, scored as the columns of one kernel call."""
+    return column_impurities(spec, np.stack(columns, axis=1))

@@ -18,10 +18,6 @@ from chanpart import (
     ProblemSpec,
     Quantizer,
     SolverOptions,
-    cell_gradient,
-    cell_impurity,
-    constraint_derivative,
-    constraint_value,
     distance_matrix,
     evaluate,
     path_objective,
@@ -33,10 +29,16 @@ from chanpart import (
     solve_iterative,
     validate_joint,
 )
-from chanpart.impurity import column_impurities, constraint_total
+from chanpart.impurity import (
+    column_gradients,
+    column_impurities,
+    constraint_derivatives,
+    constraint_total,
+)
 
 from conftest import (
     binary_entropy,
+    impurities,
     instance_suite,
     make_e1_spec,
     partition_sets,
@@ -175,16 +177,15 @@ def test_criterion_05_impurity_property_suites():
             n = int(rng.integers(2, 6))
             v = rng.random(n)
             lam = float(rng.uniform(0.01, 1.0))
-            if abs(cell_impurity(spec, lam * v) - lam * cell_impurity(spec, v)) > 1e-9:
-                failures.append((spec.kind, "homogeneity"))
             a, b = rng.random(n), rng.random(n)
-            if cell_impurity(spec, a + b) < cell_impurity(spec, a) + cell_impurity(spec, b) - 1e-9:
-                failures.append((spec.kind, "superadditivity"))
             pa, pb = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
             mix = lam * pa + (1 - lam) * pb
-            lhs = cell_impurity(spec, mix)
-            rhs = lam * cell_impurity(spec, pa) + (1 - lam) * cell_impurity(spec, pb)
-            if lhs < rhs - 1e-9:
+            f = impurities(spec, lam * v, v, a + b, a, b, mix, pa, pb)
+            if abs(f[0] - lam * f[1]) > 1e-9:
+                failures.append((spec.kind, "homogeneity"))
+            if f[2] < f[3] + f[4] - 1e-9:
+                failures.append((spec.kind, "superadditivity"))
+            if f[5] < lam * f[6] + (1 - lam) * f[7] - 1e-9:
                 failures.append((spec.kind, "concavity"))
     _verdict(5, "homogeneity, superadditivity, concavity", not failures, "1000 draws per impurity")
     assert not failures, failures[:5]
@@ -222,12 +223,13 @@ def test_criterion_07_gradient_checks():
     for spec in (ENTROPY, GINI):
         for _ in range(1000):
             v = rng.uniform(0.05, 1.0, size=int(rng.integers(2, 6)))
-            grad = cell_gradient(spec, v)
+            grad = column_gradients(spec, v)
             n = int(rng.integers(v.size))
             up, down = v.copy(), v.copy()
             up[n] += step
             down[n] -= step
-            fd = (cell_impurity(spec, up) - cell_impurity(spec, down)) / (2 * step)
+            f_up, f_down = impurities(spec, up, down)
+            fd = (f_up - f_down) / (2 * step)
             rel = abs(grad[n] - fd) / max(abs(grad[n]), abs(fd), 1e-3)
             if rel > 1e-5:
                 failures.append((spec.kind, rel))
@@ -237,15 +239,14 @@ def test_criterion_07_gradient_checks():
     for _ in range(1000):
         p = float(rng.uniform(1e-6, 1.0 - 1e-6))
         h = min(p / 1e4, (1.0 - p) / 2.0)
-        fd = (
-            constraint_value(entropy_constraint, 0, p + h)
-            - constraint_value(entropy_constraint, 0, p - h)
-        ) / (2 * h)
-        d = constraint_derivative(entropy_constraint, 0, p)
+        # one-cell mass vectors: g(p) alone
+        g_up, g_down = constraint_total(entropy_constraint, [[p + h], [p - h]])
+        fd = (g_up - g_down) / (2 * h)
+        d = constraint_derivatives(entropy_constraint, [p])[0]
         rel = abs(d - fd) / max(abs(d), abs(fd), 1e-3)
         if rel > 1e-5:
             failures.append(("entropy-constraint", rel))
-        if constraint_derivative(linear_constraint, 1, p) != 0.25:
+        if constraint_derivatives(linear_constraint, [1.0 - p, p])[1] != 0.25:
             failures.append(("linear-constraint", p))
     _verdict(7, "analytic gradients vs finite differences", not failures, "1000 points each")
     assert not failures, failures[:5]

@@ -8,72 +8,80 @@ from chanpart import (
     ENTROPY,
     GINI,
     ImpuritySpec,
-    IndexOutOfRangeError,
     NegativeEntryError,
     NonPositiveEntryError,
     OutOfRangeError,
-    cell_gradient,
-    cell_impurity,
-    constraint_derivative,
-    constraint_value,
 )
-from chanpart.impurity import _column_gradients, _column_impurities, column_gradients, column_impurities
+from chanpart.impurity import (
+    _column_gradients,
+    _column_impurities,
+    column_gradients,
+    column_impurities,
+    constraint_derivatives,
+    constraint_total,
+)
 
-from conftest import binary_entropy
+from conftest import binary_entropy, impurities
 
 LOG2E = float(np.log2(np.e))
+
+#: Cells on the boundary of the simplex, given to the property tests beside
+#: their random draws: an exact zero entry, a single support and no mass.
+#: The first two are probability vectors.
+EDGE_COLUMNS = (np.array([0.6, 0.0, 0.4]), np.array([0.0, 1.0, 0.0]), np.zeros(3))
 
 
 class TestCellImpurity:
     def test_entropy_balanced_half_mass(self):
-        assert cell_impurity(ENTROPY, [0.25, 0.25]) == pytest.approx(0.5, abs=1e-12)
+        assert column_impurities(ENTROPY, [0.25, 0.25])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_entropy_skewed_cell(self):
         # weight 0.5 times the entropy of the (0.7, 0.3) conditional
         expected = 0.5 * binary_entropy(0.7)
-        assert cell_impurity(ENTROPY, [0.35, 0.15]) == pytest.approx(expected, abs=1e-12)
+        assert column_impurities(ENTROPY, [0.35, 0.15])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_gini_values(self):
-        assert cell_impurity(GINI, [0.25, 0.25]) == pytest.approx(0.25, abs=1e-12)
-        assert cell_impurity(GINI, [0.3, 0.0]) == 0.0
+        assert column_impurities(GINI, [0.25, 0.25])[0] == pytest.approx(0.25, abs=1e-12)
+        assert column_impurities(GINI, [0.3, 0.0])[0] == 0.0
 
     def test_zero_weight_and_pure_cells_score_zero(self):
         for spec in (ENTROPY, GINI):
-            assert cell_impurity(spec, [0.0, 0.0, 0.0]) == 0.0
-            assert cell_impurity(spec, [0.0, 0.4, 0.0]) == 0.0
+            np.testing.assert_array_equal(
+                impurities(spec, [0.0, 0.0, 0.0], [0.0, 0.4, 0.0]), [0.0, 0.0]
+            )
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntryError):
-            cell_impurity(ENTROPY, [0.5, -0.1])
+            column_impurities(ENTROPY, [0.5, -0.1])
 
     def test_value_nonnegative(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             v = rng.random(int(rng.integers(2, 6)))
-            assert cell_impurity(ENTROPY, v) >= 0.0
-            assert cell_impurity(GINI, v) >= 0.0
+            assert column_impurities(ENTROPY, v)[0] >= 0.0
+            assert column_impurities(GINI, v)[0] >= 0.0
 
 
 class TestCellGradient:
     def test_entropy_balanced(self):
-        np.testing.assert_allclose(cell_gradient(ENTROPY, [0.25, 0.25]), [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(column_gradients(ENTROPY, [0.25, 0.25]), [1.0, 1.0], atol=1e-12)
 
     def test_entropy_skewed(self):
         expected = [np.log2(0.5 / 0.35), np.log2(0.5 / 0.15)]
-        np.testing.assert_allclose(cell_gradient(ENTROPY, [0.35, 0.15]), expected, atol=1e-12)
+        np.testing.assert_allclose(column_gradients(ENTROPY, [0.35, 0.15]), expected, atol=1e-12)
 
     def test_gini_balanced(self):
-        np.testing.assert_allclose(cell_gradient(GINI, [0.25, 0.25]), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(column_gradients(GINI, [0.25, 0.25]), [0.5, 0.5], atol=1e-12)
 
     def test_zero_entries_clamped_finite(self):
-        g = cell_gradient(ENTROPY, [0.5, 0.0])
+        g = column_gradients(ENTROPY, [0.5, 0.0])
         assert np.all(np.isfinite(g))
         # clamped zero behaves like mass 1e-12
         assert g[1] == pytest.approx(np.log2((0.5 + 1e-12) / 1e-12), rel=1e-9)
 
     def test_material_negative_rejected(self):
         with pytest.raises(NonPositiveEntryError):
-            cell_gradient(ENTROPY, [0.5, -0.2])
+            column_gradients(ENTROPY, [0.5, -0.2])
 
     @pytest.mark.parametrize("spec", [ENTROPY, GINI], ids=["entropy", "gini"])
     def test_matches_central_differences(self, spec):
@@ -81,59 +89,52 @@ class TestCellGradient:
         step = 1e-6
         for _ in range(300):
             v = rng.uniform(0.05, 1.0, size=int(rng.integers(2, 6)))
-            grad = cell_gradient(spec, v)
+            grad = column_gradients(spec, v)
             for n in range(v.size):
                 up, down = v.copy(), v.copy()
                 up[n] += step
                 down[n] -= step
-                fd = (cell_impurity(spec, up) - cell_impurity(spec, down)) / (2 * step)
+                f_up, f_down = impurities(spec, up, down)
+                fd = (f_up - f_down) / (2 * step)
                 rel = abs(grad[n] - fd) / max(abs(grad[n]), abs(fd), 1e-3)
                 assert rel <= 1e-5
 
 
 class TestConstraintValue:
+    """``constraint_total`` of one-cell mass vectors gives g(p) of each mass."""
+
     def test_entropy_point_values(self):
-        g = ConstraintSpec.entropy()
-        assert constraint_value(g, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
-        assert constraint_value(g, 0, 0.0) == 0.0
-        assert constraint_value(g, 0, 1.0) == 0.0
+        half, empty, full = constraint_total(ConstraintSpec.entropy(), [[0.5], [0.0], [1.0]])
+        assert half == pytest.approx(0.5, abs=1e-12)
+        assert empty == 0.0
+        assert full == 0.0
 
     def test_linear_uses_cell_weight(self):
         g = ConstraintSpec.linear([2.0, 3.0])
-        assert constraint_value(g, 1, 0.25) == pytest.approx(0.75, abs=1e-12)
-        assert constraint_value(g, 0, 0.25) == pytest.approx(0.5, abs=1e-12)
+        assert constraint_total(g, [0.0, 0.25]) == pytest.approx(0.75, abs=1e-12)
+        assert constraint_total(g, [0.25, 0.0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_none_is_zero(self):
-        assert constraint_value(ConstraintSpec.none(), 0, 0.7) == 0.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            constraint_value(ConstraintSpec.entropy(), 0, 1.5)
-        with pytest.raises(OutOfRangeError):
-            constraint_value(ConstraintSpec.entropy(), 0, -0.1)
-
-    def test_linear_index_checked(self):
-        with pytest.raises(IndexOutOfRangeError):
-            constraint_value(ConstraintSpec.linear([1.0]), 1, 0.5)
+        assert constraint_total(ConstraintSpec.none(), [0.7]) == 0.0
 
 
 class TestConstraintDerivative:
     def test_entropy_at_half(self):
         expected = -(np.log2(0.5) + LOG2E)
-        assert constraint_derivative(ConstraintSpec.entropy(), 0, 0.5) == pytest.approx(
+        assert constraint_derivatives(ConstraintSpec.entropy(), [0.5])[0] == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_linear_is_constant(self):
         g = ConstraintSpec.linear([2.0, 3.0])
         for p in (0.0, 0.3, 1.0):
-            assert constraint_derivative(g, 0, p) == 2.0
+            assert constraint_derivatives(g, [p, 1.0 - p])[0] == 2.0
 
     def test_none_is_zero(self):
-        assert constraint_derivative(ConstraintSpec.none(), 0, 0.4) == 0.0
+        assert constraint_derivatives(ConstraintSpec.none(), [0.4])[0] == 0.0
 
     def test_zero_mass_clamped_finite(self):
-        d = constraint_derivative(ConstraintSpec.entropy(), 0, 0.0)
+        d = constraint_derivatives(ConstraintSpec.entropy(), [0.0])[0]
         assert d == pytest.approx(-(np.log2(1e-12) + LOG2E), rel=1e-12)
 
     def test_matches_finite_differences(self):
@@ -144,8 +145,9 @@ class TestConstraintDerivative:
         for _ in range(300):
             p = float(rng.uniform(1e-6, 1.0 - 1e-6))
             h = min(p / 1e4, (1.0 - p) / 2.0)
-            fd = (constraint_value(g, 0, p + h) - constraint_value(g, 0, p - h)) / (2 * h)
-            d = constraint_derivative(g, 0, p)
+            g_up, g_down = constraint_total(g, [[p + h], [p - h]])
+            fd = (g_up - g_down) / (2 * h)
+            d = constraint_derivatives(g, [p])[0]
             rel = abs(d - fd) / max(abs(d), abs(fd), 1e-3)
             assert rel <= 1e-5
 
@@ -156,12 +158,14 @@ class TestWeightScaling:
     @pytest.mark.parametrize("spec", [ENTROPY, GINI], ids=["entropy", "gini"])
     def test_homogeneity(self, spec):
         rng = np.random.default_rng(31)
+        cases = []
         for _ in range(300):
             v = rng.random(int(rng.integers(2, 6)))
-            lam = float(rng.uniform(0.01, 1.0))
-            assert cell_impurity(spec, lam * v) == pytest.approx(
-                lam * cell_impurity(spec, v), abs=1e-9
-            )
+            cases.append((v, float(rng.uniform(0.01, 1.0))))
+        cases += [(v, lam) for v in EDGE_COLUMNS for lam in (0.01, 0.5, 1.0)]
+        for v, lam in cases:
+            scaled, unscaled = impurities(spec, lam * v, v)
+            assert scaled == pytest.approx(lam * unscaled, abs=1e-9)
 
 
 class TestMergeSuperadditivity:
@@ -170,37 +174,47 @@ class TestMergeSuperadditivity:
     @pytest.mark.parametrize("spec", [ENTROPY, GINI], ids=["entropy", "gini"])
     def test_merge_gain_nonnegative(self, spec):
         rng = np.random.default_rng(32)
+        pairs = []
         for _ in range(300):
             n = int(rng.integers(2, 6))
-            a, b = rng.random(n), rng.random(n)
-            merged = cell_impurity(spec, a + b)
-            assert merged >= cell_impurity(spec, a) + cell_impurity(spec, b) - 1e-9
+            pairs.append((rng.random(n), rng.random(n)))
+        pairs += [(a, b) for a in EDGE_COLUMNS for b in EDGE_COLUMNS]
+        for a, b in pairs:
+            merged, f_a, f_b = impurities(spec, a + b, a, b)
+            assert merged >= f_a + f_b - 1e-9
 
     @pytest.mark.parametrize("spec", [ENTROPY, GINI], ids=["entropy", "gini"])
     def test_parallel_cells_merge_without_gain(self, spec):
         rng = np.random.default_rng(33)
+        pairs = []
         for _ in range(100):
             a = rng.random(int(rng.integers(2, 6)))
-            b = float(rng.uniform(0.1, 3.0)) * a
-            gain = cell_impurity(spec, a + b) - cell_impurity(spec, a) - cell_impurity(spec, b)
-            assert abs(gain) <= 1e-9
+            pairs.append((a, float(rng.uniform(0.1, 3.0)) * a))
+        pairs += [(a, 2.0 * a) for a in EDGE_COLUMNS]
+        for a, b in pairs:
+            merged, f_a, f_b = impurities(spec, a + b, a, b)
+            assert abs(merged - f_a - f_b) <= 1e-9
 
 
 class TestSimplexConcavity:
     @pytest.mark.parametrize("spec", [ENTROPY, GINI], ids=["entropy", "gini"])
     def test_random_chords(self, spec):
         rng = np.random.default_rng(34)
+        chords = []
         for _ in range(300):
             n = int(rng.integers(2, 6))
             a = rng.dirichlet(np.ones(n))
             b = rng.dirichlet(np.ones(n))
-            lam = float(rng.uniform(0.0, 1.0))
-            mixed = cell_impurity(spec, lam * a + (1 - lam) * b)
-            assert mixed >= lam * cell_impurity(spec, a) + (1 - lam) * cell_impurity(spec, b) - 1e-9
+            chords.append((a, b, float(rng.uniform(0.0, 1.0))))
+        # the all-zero column is the cone's apex, not a simplex point
+        chords += [(a, b, lam) for a in EDGE_COLUMNS for b in EDGE_COLUMNS for lam in (0.0, 0.3, 1.0)]
+        for a, b, lam in chords:
+            mixed, f_a, f_b = impurities(spec, lam * a + (1 - lam) * b, a, b)
+            assert mixed >= lam * f_a + (1 - lam) * f_b - 1e-9
 
 
 class TestVectorKernels:
-    """The batched kernels must agree with the scalar operations exactly."""
+    """A batch of columns scores exactly as its columns one call at a time."""
 
     def test_column_impurities_match_scalar(self):
         rng = np.random.default_rng(41)
@@ -208,7 +222,7 @@ class TestVectorKernels:
         cols[:, 3] = 0.0
         for spec in (ENTROPY, GINI):
             batch = column_impurities(spec, cols)
-            singles = [cell_impurity(spec, cols[:, i]) for i in range(9)]
+            singles = [column_impurities(spec, cols[:, i])[0] for i in range(9)]
             np.testing.assert_array_equal(batch, singles)
 
     def test_column_gradients_match_scalar(self):
@@ -217,7 +231,7 @@ class TestVectorKernels:
         cols[0, 2] = 0.0
         for spec in (ENTROPY, GINI):
             batch = column_gradients(spec, cols)
-            singles = np.stack([cell_gradient(spec, cols[:, i]) for i in range(7)], axis=1)
+            singles = np.stack([column_gradients(spec, cols[:, i]) for i in range(7)], axis=1)
             np.testing.assert_array_equal(batch, singles)
 
     def test_matrix_kernels_reject_negative_entries(self):

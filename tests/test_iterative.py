@@ -356,8 +356,8 @@ class TestOptionsValidation:
         wide = SolverOptions(initial_assignment=np.array([0, 1, 2, 0]))
         with pytest.raises(IndexOutOfRangeError):
             solve_iterative(e1_spec, wide)
-        fractional = [0.7, 1.2, 0.1, 1.9]
-        with pytest.raises(IndexOutOfRangeError):
-            solve_iterative(e1_spec, SolverOptions(initial_assignment=fractional))
-        with pytest.raises(IndexOutOfRangeError):
-            reassign_sweep(e1_spec, fractional)
+        for not_labels in ([0.7, 1.2, 0.1, 1.9], [True, False, True, False]):
+            with pytest.raises(IndexOutOfRangeError):
+                solve_iterative(e1_spec, SolverOptions(initial_assignment=not_labels))
+            with pytest.raises(IndexOutOfRangeError):
+                reassign_sweep(e1_spec, not_labels)

@@ -14,11 +14,9 @@ from chanpart import (
     OutOfRangeError,
     ProblemSpec,
     Quantizer,
-    distance,
     distance_matrix,
     evaluate,
     path_objective,
-    scaled_distance,
     solve_bruteforce,
     validate_joint,
 )
@@ -75,7 +73,7 @@ class TestDistance:
         # Y1 has posterior (0.8, 0.2); cell 1 holds joint (0.35, 0.15)
         state = evaluate(e1_spec, E1_OPT)
         expected = 0.8 * np.log2(0.5 / 0.35) + 0.2 * np.log2(0.5 / 0.15)
-        assert scaled_distance(state, e1_spec, 0, 0) == pytest.approx(expected, abs=1e-12)
+        assert distance_matrix(state, e1_spec)[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_matching_posterior_gives_cell_entropy(self):
         # a symbol whose posterior equals the cell conditional (0.7, 0.3)
@@ -89,7 +87,7 @@ class TestDistance:
             beta=1.0,
         )
         state = evaluate(spec, Quantizer.hard([0, 1, 1], 2))
-        assert scaled_distance(state, spec, 1, 0) == pytest.approx(
+        assert distance_matrix(state, spec)[0, 1] == pytest.approx(
             binary_entropy(0.7), abs=1e-12
         )
 
@@ -107,29 +105,9 @@ class TestDistance:
             beta=2.5,
         )
         q = Quantizer.hard([0, 1, 0, 1, 0], 2)
-        state = evaluate(spec, q)
+        full = distance_matrix(evaluate(spec, q), spec, scaled=False)
         for m in range(5):
-            assert distance(state, spec, m, 0) == pytest.approx(
-                distance(state, spec, m, 1), abs=1e-12
-            )
-
-    def test_index_bounds_checked(self, e1_spec):
-        state = evaluate(e1_spec, E1_OPT)
-        with pytest.raises(IndexOutOfRangeError):
-            distance(state, e1_spec, 4, 0)
-        with pytest.raises(IndexOutOfRangeError):
-            scaled_distance(state, e1_spec, 0, 2)
-
-    def test_matrix_matches_scalar_entries(self, e1_spec):
-        state = evaluate(e1_spec, E1_OPT)
-        full = distance_matrix(state, e1_spec, scaled=False)
-        scaled = distance_matrix(state, e1_spec, scaled=True)
-        for m in range(4):
-            for k in range(2):
-                assert full[k, m] == pytest.approx(distance(state, e1_spec, m, k), abs=1e-15)
-                assert scaled[k, m] == pytest.approx(
-                    scaled_distance(state, e1_spec, m, k), abs=1e-15
-                )
+            assert full[0, m] == pytest.approx(full[1, m], abs=1e-12)
 
     def test_full_and_scaled_share_argmin_and_ties(self):
         rng = np.random.default_rng(52)
@@ -172,6 +150,10 @@ class TestPathObjective:
             path_objective(e1_spec, E1_OPT, 0, 0, 0, 0.5)  # same cell
         with pytest.raises(OutOfRangeError):
             path_objective(e1_spec, E1_OPT, 0, 0, 1, 1.5)
+        with pytest.raises(IndexOutOfRangeError):
+            path_objective(e1_spec, E1_OPT, 4, 0, 1, 0.5)  # no symbol 4
+        with pytest.raises(IndexOutOfRangeError):
+            path_objective(e1_spec, E1_OPT, 0, 0, 2, 0.5)  # no cell 2
 
     def test_chord_slopes_decrease(self):
         """Moving further never improves the per-unit gain of a move."""
@@ -218,7 +200,8 @@ class TestPathObjective:
             if not populated:
                 continue
             target = int(rng.choice(populated))
-            predicted = distance(state, spec, m, target) - distance(state, spec, m, source)
+            full = distance_matrix(state, spec, scaled=False)
+            predicted = full[target, m] - full[source, m]
             if abs(predicted) < 1e-6:
                 continue  # slope too small for a stable relative comparison
             t = 1e-6

@@ -208,6 +208,8 @@ class TestQuantizer:
         for not_a_label in (0.5, np.inf, np.nan):
             with pytest.raises(IndexOutOfRangeError, match="integer cell labels"):
                 Quantizer.hard([0, not_a_label], 2)
+        with pytest.raises(IndexOutOfRangeError, match="integer cell labels"):
+            Quantizer.hard([True, False], 2)
         with pytest.raises(IndexOutOfRangeError, match=r"got range \[0, 1000000000000000019884624838656\]"):
             Quantizer.hard([0, 1e30], 2)
 
