@@ -22,7 +22,6 @@ import orjson
 from .errors import (
     ChanpartError,
     InstanceTooLargeError,
-    NotBinaryError,
     PreconditionViolatedError,
 )
 from .exact import solve_binary_thresholds, solve_bruteforce, solve_dp_identity
@@ -222,32 +221,6 @@ def _parse_with_json(path: str) -> ProblemFile:
     return parse_problem_document(doc)
 
 
-def serialize_problem(pf: ProblemFile) -> dict:
-    """Canonical document for a parsed problem (post-validation numbers)."""
-    spec = pf.spec
-    doc = {
-        "format": 1,
-        "joint_xy": spec.joint.entries.tolist(),
-        "channel": spec.channel.entries.tolist(),
-        "num_cells": spec.num_cells,
-        "beta": spec.beta,
-        "impurity": spec.impurity.kind,
-        "constraint": (
-            {"kind": "linear", "weights": spec.constraint.weights.tolist()}
-            if spec.constraint.kind == "linear"
-            else spec.constraint.kind
-        ),
-        "solver": pf.solver,
-        "options": {
-            "seed": pf.options.seed,
-            "restarts": pf.options.restarts,
-            "max_iterations": pf.options.max_iterations,
-            "sweep_mode": pf.options.sweep_mode,
-        },
-    }
-    return doc
-
-
 def _run_named_solver(name: str, spec: ProblemSpec, options: SolverOptions) -> SolveReport:
     if name == "iterative":
         return solve_iterative(spec, options)
@@ -348,7 +321,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     try:
         report = _run_named_solver(solver, pf.spec, options)
-    except (InstanceTooLargeError, NotBinaryError, PreconditionViolatedError) as exc:
+    except (InstanceTooLargeError, PreconditionViolatedError) as exc:
         print(f"error: {solver}: {exc}", file=sys.stderr)
         return EXIT_GUARD
 
@@ -371,7 +344,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         try:
             report = _run_named_solver(name, pf.spec, pf.options)
-        except (NotBinaryError, PreconditionViolatedError) as exc:
+        except PreconditionViolatedError as exc:
             results.append({"solver": name, "applicable": False, "reason": str(exc)})
             continue
         except InstanceTooLargeError as exc:

@@ -47,9 +47,9 @@ class InstanceTooLargeError(ChanpartError):
     """Exhaustive enumeration was refused because the instance is too big."""
 
 
-class NotBinaryError(ChanpartError):
-    """A binary-source-only solver was called with more than two sources."""
-
-
 class PreconditionViolatedError(ChanpartError):
     """A specialized solver was called outside its validity domain."""
+
+
+class NotBinaryError(PreconditionViolatedError):
+    """A binary-source-only solver was called with more than two sources."""

@@ -12,16 +12,16 @@ Three globally exact routes are provided, each with its own validity domain:
   order in O(K * M^2).
 
 Each solver checks its own domain before any work and raises
-``NotBinaryError`` or ``PreconditionViolatedError`` with a short reason,
-which ``chanpart compare`` reports as the solver's ``reason``; the two
-enumerations also refuse more than 2**22 candidates.  They score candidates
-in blocks, summing each cell joint in ascending symbol order as
-``cell_joints`` does and then calling ``score_cells`` on the whole block,
-so a candidate's objective has the bits of the report's own arithmetic
-(under a linear constraint it may differ in the last bits: a block's masses
-meet the weights in one matrix product).  Ties go to the first candidate in
-enumeration order.  The DP scores its intervals through ``score_cells`` as
-well, each as a candidate of one cell.
+``PreconditionViolatedError`` (its subclass ``NotBinaryError`` for a source
+that is not binary) with a short reason, which ``chanpart compare`` reports
+as the solver's ``reason``; the two enumerations also refuse more than 2**22
+candidates.  They score candidates in blocks, summing each cell joint in
+ascending symbol order as ``cell_joints`` does and then calling
+``score_cells`` on the whole block, so a candidate's objective has the bits
+of the report's own arithmetic (under a linear constraint it may differ in
+the last bits: a block's masses meet the weights in one matrix product).
+Ties go to the first candidate in enumeration order.  The DP scores its
+intervals through ``score_cells`` as well, each as a candidate of one cell.
 
 :func:`check_hyperplane_separation` verifies the local-optimality geometry
 of any hard partition: every symbol in an argmin-distance cell and, for
@@ -205,7 +205,7 @@ def solve_dp_identity(spec: ProblemSpec) -> SolveReport:
     best split into at most K intervals is found in O(K * M^2).
     """
     if spec.num_sources != 2:
-        raise PreconditionViolatedError("needs a binary source")
+        raise NotBinaryError("needs a binary source")
     if not spec.channel.is_identity:
         raise PreconditionViolatedError("needs the identity channel")
     if spec.constraint.kind == "linear":

@@ -18,7 +18,6 @@ its first move are the ones a symbol-by-symbol visit makes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -26,15 +25,14 @@ from .errors import DimensionMismatchError, OutOfRangeError
 from .impurity import _column_gradients, constraint_derivatives
 # SolveReport is also imported from this module by callers
 from .objective import ProblemSpec, SolveReport, _distances, certified_report, score_cells
-from .probability import Quantizer, cell_joints, posteriors
+from .probability import Quantizer, _check_integer, cell_joints, posteriors
 
 SWEEP_MODES = ("sequential", "batch")
 
 #: Ends restarts in both modes.  A sequential sweep whose objective drop is
-#: at most this counts as converged, exactly like a sweep that moves nothing
-#: (so ``reseed_empty`` still gets its turn): such a sweep only shuffles
-#: symbols between tied cells.  In batch mode a sweep that raises the
-#: objective by more than this trips the cycle guard.
+#: at most this counts as converged, exactly like a sweep that moves nothing:
+#: such a sweep only shuffles symbols between tied cells.  In batch mode a
+#: sweep that raises the objective by more than this trips the cycle guard.
 CONVERGENCE_TOL = 1e-12
 
 
@@ -46,10 +44,7 @@ class SolverOptions:
     bools.  A given ``initial_assignment`` runs a single pass from those
     labels instead of ``restarts`` random starts; it is stored as a tuple, so
     options compare and hash by value, and :meth:`Quantizer.hard` checks the
-    labels when the pass starts.  ``reseed_empty`` moves the point farthest
-    from its own cell into an empty cell whenever a sweep converges with
-    empty cells left (at most once per cell per restart); the forced move
-    may raise the objective, so it is off by default.
+    labels when the pass starts.
     """
 
     max_iterations: int = 500
@@ -57,14 +52,12 @@ class SolverOptions:
     seed: int = 0
     initial_assignment: tuple[int, ...] | None = None
     sweep_mode: str = "sequential"
-    reseed_empty: bool = False
 
     def __post_init__(self) -> None:
         bounds = (("max_iterations", 1, ">= 1"), ("restarts", 1, ">= 1"), ("seed", 0, "nonnegative"))
         for name, least, rule in bounds:
             value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, value)
             if value < least:
                 raise OutOfRangeError(f"{name} must be {rule}, got {value}")
         if self.sweep_mode not in SWEEP_MODES:
@@ -192,28 +185,6 @@ class _SweepEngine:
         self.assignment = nearest
         return changed
 
-    def reseed_empty_cells(self, already_reseeded: set[int]) -> bool:
-        """Force one point into each empty cell not reseeded before."""
-        k = self.spec.num_cells
-        counts = np.bincount(self.assignment, minlength=k)
-        moved = False
-        for cell in range(k):
-            if counts[cell] != 0 or cell in already_reseeded:
-                continue
-            donors = counts[self.assignment] >= 2
-            if not np.any(donors):
-                break
-            dist = self.distances(slice(None))
-            own = dist[self.assignment, np.arange(self.assignment.size)]
-            own = np.where(donors, own, -np.inf)
-            point = int(np.argmax(own))
-            counts[self.assignment[point]] -= 1
-            counts[cell] += 1
-            self.move(point, cell)
-            already_reseeded.add(cell)
-            moved = True
-        return moved
-
 
 def reassign_sweep(spec: ProblemSpec, assignment, mode: str = "sequential"):
     """Run one full reassignment sweep and return (new_assignment, changed).
@@ -251,7 +222,6 @@ def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions):
     sequential = opts.sweep_mode == "sequential"
     best_obj = engine.objective
     best_assignment = engine.assignment.copy()
-    reseeded: set[int] = set()
     sweeps = 0
     while sweeps < opts.max_iterations:
         sweeps += 1
@@ -267,9 +237,6 @@ def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions):
             break
         # a sequential sweep that gains at most CONVERGENCE_TOL only shuffles ties
         if changed == 0 or (sequential and trace[-2] - engine.objective <= CONVERGENCE_TOL):
-            if opts.reseed_empty and engine.reseed_empty_cells(reseeded):
-                trace.append(engine.objective)
-                continue
             break
 
     if sequential:

@@ -48,6 +48,7 @@ from .probability import (
     JointDistribution,
     OutputJoints,
     Quantizer,
+    _check_integer,
     posteriors,
     push_to_clusters,
 )
@@ -71,6 +72,7 @@ class ProblemSpec:
         if not 0.0 < float(self.beta) < np.inf:
             raise OutOfRangeError(f"beta must be positive and finite, got {self.beta}")
         object.__setattr__(self, "beta", float(self.beta))
+        _check_integer("num_cells", self.num_cells)
         if self.channel.num_inputs != self.num_cells:
             raise DimensionMismatchError(
                 f"channel has {self.channel.num_inputs} input rows, expected {self.num_cells}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -37,6 +38,12 @@ INVARIANT_TOL = 1e-9
 #: within this tolerance of 1 is rescaled, anything worse is rejected.  Wider
 #: than INVARIANT_TOL because input files carry limited decimal precision.
 INPUT_TOL = 1e-6
+
+
+def _check_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer; numpy integers pass and a bool does not."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -183,6 +190,7 @@ class Quantizer:
     def __post_init__(self) -> None:
         if self.kind not in ("hard", "soft"):
             raise OutOfRangeError(f"quantizer kind must be 'hard' or 'soft', got {self.kind!r}")
+        _check_integer("num_cells", self.num_cells)
         if self.num_cells < 1:
             raise DimensionMismatchError(f"num_cells must be >= 1, got {self.num_cells}")
         if self.kind == "hard":
@@ -191,9 +199,14 @@ class Quantizer:
             a = np.asarray(self.hard_assignment)
             if a.ndim != 1 or a.size < 1:
                 raise DimensionMismatchError("hard_assignment must be a nonempty vector")
-            if not np.issubdtype(a.dtype, np.integer):
-                if a.dtype == bool or not np.all(np.isfinite(a) & (a == np.floor(a))):
-                    raise IndexOutOfRangeError("hard_assignment must hold integer cell labels")
+            # bool, str, object and complex arrays are refused even where numpy
+            # could cast them to labels
+            if a.dtype.kind == "f":
+                integral = bool(np.all(np.isfinite(a) & (a == np.floor(a))))
+            else:
+                integral = a.dtype.kind in "iu"
+            if not integral:
+                raise IndexOutOfRangeError("hard_assignment must hold integer cell labels")
             # checked before the cast, which would wrap a label past the int64 range
             if a.min() < 0 or a.max() >= self.num_cells:
                 raise IndexOutOfRangeError(

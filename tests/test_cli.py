@@ -25,7 +25,6 @@ from chanpart.cli import (
     main,
     parse_problem_document,
     parse_problem_file,
-    serialize_problem,
 )
 
 E1_DOC = {
@@ -330,25 +329,6 @@ class TestCompare:
 
 
 class TestProblemFileRoundTrip:
-    def test_parse_serialize_parse_identity(self, tmp_path):
-        doc = e1_doc(
-            channel=[[0.9, 0.1], [0.1, 0.9]],
-            constraint={"kind": "linear", "weights": [1.0, 2.0]},
-            solver="iterative",
-            options={"seed": 4, "restarts": 2, "max_iterations": 50, "sweep_mode": "batch"},
-        )
-        first = parse_problem_file(write_doc(tmp_path, doc))
-        second = parse_problem_document(serialize_problem(first))
-        np.testing.assert_array_equal(first.spec.joint.entries, second.spec.joint.entries)
-        np.testing.assert_array_equal(first.spec.channel.entries, second.spec.channel.entries)
-        np.testing.assert_array_equal(
-            first.spec.constraint.weights, second.spec.constraint.weights
-        )
-        assert first.spec.beta == second.spec.beta
-        assert first.spec.impurity == second.spec.impurity
-        assert first.solver == second.solver
-        assert first.options == second.options
-
     def test_unknown_top_level_key_rejected(self, tmp_path, capsys):
         code = main(["solve", write_doc(tmp_path, e1_doc(extra_knob=3))])
         assert code == EXIT_INPUT

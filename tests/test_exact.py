@@ -293,6 +293,17 @@ class TestDpIdentity:
         with pytest.raises(PreconditionViolatedError):
             solve_dp_identity(random_instance(rng, binary=False, identity=True))
 
+    def test_every_binary_only_route_raises_not_binary(self):
+        # N = 3 over the identity channel: the source is the only precondition that fails
+        spec = random_instance(np.random.default_rng(73), binary=False, identity=True, constraint="none")
+        assert issubclass(NotBinaryError, PreconditionViolatedError)
+        for solver in (solve_dp_identity, solve_binary_thresholds):
+            with pytest.raises(NotBinaryError, match="^needs a binary source$"):
+                solver(spec)
+        q = Quantizer.hard(np.zeros(spec.num_symbols, dtype=int), spec.num_cells)
+        with pytest.raises(NotBinaryError, match="needs a binary source, got N=3"):
+            threshold_structure(spec, q)
+
     def test_entropy_constraint_can_drop_cells(self):
         # a strong cell-entropy cost favors fewer populated intervals
         spec = make_e1_spec(constraint="entropy", beta=0.1)

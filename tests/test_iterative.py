@@ -99,23 +99,13 @@ class TestSolveIterative:
             report = solve_iterative(spec, SolverOptions(seed=5, restarts=2, sweep_mode="batch"))
             assert report.objective <= min(report.objective_trace) + 1e-12
 
-    def test_reseed_empty_populates_second_cell(self, e1_spec):
+    def test_all_in_one_start_stays_in_one_cell(self, e1_spec):
         start = np.array([0, 0, 0, 0])
         plain = solve_iterative(
             e1_spec, SolverOptions(initial_assignment=start)
         )
         assert np.unique(plain.assignment).size == 1
         assert plain.objective == pytest.approx(1.0, abs=1e-12)
-
-        forced = solve_iterative(
-            e1_spec,
-            SolverOptions(initial_assignment=start, reseed_empty=True),
-        )
-        assert np.unique(forced.assignment).size == 2
-        # lands on the two-cell local optimum {Y1} | {Y2, Y3, Y4}
-        expected = 0.25 * binary_entropy(0.8) + 0.75 * binary_entropy(0.4)
-        assert forced.objective == pytest.approx(expected, abs=1e-12)
-        assert forced.optimality_certificate
 
     def test_tied_posteriors_stop_after_a_zero_gain_sweep(self):
         # every partition of uniform posteriors scores the same; sweeps only shuffle ties
@@ -125,19 +115,12 @@ class TestSolveIterative:
         assert all(sweeps <= 2 for sweeps in report.iterations_used)
         assert report.optimality_certificate
 
-    def test_zero_gain_sweep_still_reseeds(self):
+    def test_zero_gain_sweep_stops_after_one_sweep(self):
         spec = tied_spec(4, num_cells=2)
         start = np.array([0, 0, 0, 1])
         plain = solve_iterative(spec, SolverOptions(initial_assignment=start))
         assert plain.iterations_used == (1,)
         assert len(plain.objective_trace) == 2
-        forced = solve_iterative(
-            spec, SolverOptions(initial_assignment=start, reseed_empty=True)
-        )
-        # sweep 1 empties cell 1 and the reseed refills it; sweep 2 empties it again
-        assert forced.iterations_used == (2,)
-        assert len(forced.objective_trace) == 4
-        assert forced.optimality_certificate
 
     def test_surplus_cells_stay_empty(self):
         spec = make_e1_spec(num_cells=6, channel=None)
@@ -335,6 +318,10 @@ class TestOptionsValidation:
         with pytest.raises(TypeError):
             SolverOptions(init="provided")
 
+    def test_reseed_empty_is_gone(self):
+        with pytest.raises(TypeError):
+            SolverOptions(reseed_empty=True)
+
     def test_tolerance_is_gone(self):
         with pytest.raises(TypeError):
             SolverOptions(tolerance=1e-9)
@@ -361,3 +348,6 @@ class TestOptionsValidation:
                 solve_iterative(e1_spec, SolverOptions(initial_assignment=not_labels))
             with pytest.raises(IndexOutOfRangeError):
                 reassign_sweep(e1_spec, not_labels)
+        # stored as the tuple of its characters, which are not integer labels
+        with pytest.raises(IndexOutOfRangeError, match="integer cell labels"):
+            solve_iterative(e1_spec, SolverOptions(initial_assignment="0101"))

@@ -62,6 +62,13 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError):
             evaluate(e1_spec, Quantizer.hard([0, 0, 1, 2], 3))
 
+    def test_spec_refuses_non_integer_cell_count(self):
+        # each count would match its channel's row count
+        for count, rows in ((2.0, 2), (True, 1)):
+            with pytest.raises(OutOfRangeError, match=f"^num_cells must be an integer, got {count!r}$"):
+                make_e1_spec(num_cells=count, channel=ChannelMatrix.identity(rows))
+        assert make_e1_spec(num_cells=np.int64(2)).num_cells == 2
+
     def test_gradients_shapes(self, e1_spec):
         state = evaluate(e1_spec, E1_OPT)
         assert state.output_gradients.shape == (2, 2)

@@ -208,10 +208,19 @@ class TestQuantizer:
         for not_a_label in (0.5, np.inf, np.nan):
             with pytest.raises(IndexOutOfRangeError, match="integer cell labels"):
                 Quantizer.hard([0, not_a_label], 2)
-        with pytest.raises(IndexOutOfRangeError, match="integer cell labels"):
-            Quantizer.hard([True, False], 2)
+        for not_labels in ([True, False], ["0", "1"], [0, None], [0, 1 + 0j]):
+            with pytest.raises(IndexOutOfRangeError, match="integer cell labels"):
+                Quantizer.hard(not_labels, 2)
         with pytest.raises(IndexOutOfRangeError, match=r"got range \[0, 1000000000000000019884624838656\]"):
             Quantizer.hard([0, 1e30], 2)
+
+    def test_rejects_non_integer_cell_count(self):
+        for count in (2.5, True):
+            with pytest.raises(OutOfRangeError, match=f"^num_cells must be an integer, got {count!r}$"):
+                Quantizer.hard([0, 1, 0], count)
+        assert Quantizer.hard([0, 1, 2], np.int64(3)).num_cells == 3
+        with pytest.raises(DimensionMismatchError, match=r"^num_cells must be >= 1, got 0$"):
+            Quantizer.hard([0], 0)
 
     def test_rejects_bad_soft_rows(self):
         with pytest.raises(SumNotOneError):

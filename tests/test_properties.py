@@ -1,15 +1,17 @@
-"""Invariants of the sequential solver on boundary instances, as hypothesis properties.
+"""Invariants of the solvers on boundary instances, as hypothesis properties.
 
 The instances deliberately leave the interior the other suites use: joint
 entries are small integer counts (so exact zeros and exactly tied posteriors
 are common), the cell count may exceed the symbol count (so cells start and
 stay empty), and the relay may be rank-1 (every cell reaches the same
-outputs, so every distance ties).
+outputs, so every distance ties).  The exact solvers must match bruteforce
+on the same instances.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from chanpart import (
     ChannelMatrix,
     ConstraintSpec,
     ImpuritySpec,
+    PreconditionViolatedError,
     ProblemSpec,
     Quantizer,
     SolverOptions,
@@ -24,6 +27,9 @@ from chanpart import (
     check_hyperplane_separation,
     distance_matrix,
     evaluate,
+    solve_binary_thresholds,
+    solve_bruteforce,
+    solve_dp_identity,
     solve_iterative,
     validate_joint,
 )
@@ -43,8 +49,8 @@ def _counts(draw, rows: int, cols: int) -> np.ndarray:
 
 
 @st.composite
-def boundary_instances(draw, min_sources: int = 2) -> ProblemSpec:
-    n = draw(st.integers(min_sources, 3))
+def boundary_instances(draw, min_sources: int = 2, max_sources: int = 3) -> ProblemSpec:
+    n = draw(st.integers(min_sources, max_sources))
     m = draw(st.integers(1, 7))
     k = draw(st.integers(2, 5))
     columns = _counts(draw, m, n)  # one row per data symbol, zeros allowed
@@ -122,3 +128,19 @@ def test_the_two_certificates_agree(spec, data):
         for violation in separation.violations:
             assert violation.kind == "distance"
             assert dist[violation.competing_cell, violation.point] == dist[:, violation.point].min()
+
+
+@PROPERTY_SETTINGS
+@given(spec=boundary_instances(max_sources=2))
+def test_exact_solvers_match_bruteforce(spec):
+    truth = solve_bruteforce(spec)
+    solvers = [solve_binary_thresholds]
+    if spec.channel.is_identity and spec.constraint.kind != "linear":
+        solvers.append(solve_dp_identity)
+    else:
+        with pytest.raises(PreconditionViolatedError):
+            solve_dp_identity(spec)
+    for solver in solvers:
+        report = solver(spec)
+        assert abs(report.objective - truth.objective) <= 1e-9
+        assert report.optimality_certificate
