@@ -20,8 +20,8 @@ ascending symbol order as ``cell_joints`` does and then calling
 ``score_cells`` on the whole block, so a candidate's objective has the bits
 of the report's own arithmetic (under a linear constraint it may differ in
 the last bits: a block's masses meet the weights in one matrix product).
-Ties go to the first candidate in enumeration order.  The DP scores its
-intervals through ``score_cells`` as well, each as a candidate of one cell.
+Ties go to the first candidate in enumeration order.  The DP scores each
+interval once, through ``score_cells`` as well, as a candidate of one cell.
 
 :func:`check_hyperplane_separation` verifies the local-optimality geometry
 of any hard partition: every symbol in an argmin-distance cell and, for
@@ -201,8 +201,9 @@ def solve_dp_identity(spec: ProblemSpec) -> SolveReport:
 
     Needs the channel to be the identity and the constraint to be the same
     function for every cell (none or entropy): then the objective is a sum
-    of independent interval costs over the sorted posterior order, and the
-    best split into at most K intervals is found in O(K * M^2).
+    of independent interval costs over the sorted posterior order, each
+    scored once, and the best split into at most K intervals is found in M
+    steps of O(K * M) arithmetic.
     """
     if spec.num_sources != 2:
         raise NotBinaryError("needs a binary source")
@@ -213,42 +214,32 @@ def solve_dp_identity(spec: ProblemSpec) -> SolveReport:
 
     m, k = spec.num_symbols, spec.num_cells
     order = _sorted_posterior_order(spec)
-    sorted_joint = spec.joint.entries[:, order]
     prefix = np.zeros((2, m + 1))
-    prefix[:, 1:] = np.cumsum(sorted_joint, axis=1)
+    prefix[:, 1:] = np.cumsum(spec.joint.entries[:, order], axis=1)
 
-    def interval_costs(a_first: int, b: int) -> np.ndarray:
-        """Costs of intervals [a, b) for all a in [a_first, b)."""
-        # differences of nondecreasing prefix sums are nonnegative
-        v = prefix[:, b][:, None, None] - prefix[:, a_first:b, None]
-        # each interval is a one-cell candidate: the identity channel keeps it
-        # apart from the other cells, and a cell-symmetric constraint scores
-        # it the same whichever cell it becomes
-        return score_cells(spec, v, v.sum(axis=0))[3]
-
+    # cost[j, i]: best split of the first i sorted symbols into j intervals;
+    # row j - 1 is inf before column j - 1 (too few symbols), so no split wins there
     max_intervals = min(k, m)
     cost = np.full((max_intervals + 1, m + 1), math.inf)
     split = np.zeros((max_intervals + 1, m + 1), dtype=np.int64)
     cost[0, 0] = 0.0
-    for j in range(1, max_intervals + 1):
-        for i in range(j, m + 1):
-            candidates = cost[j - 1, j - 1 : i] + interval_costs(j - 1, i)
-            pick = int(np.argmin(candidates))
-            cost[j, i] = float(candidates[pick])
-            split[j, i] = j - 1 + pick
+    for i in range(1, m + 1):
+        # differences of nondecreasing prefix sums are nonnegative
+        v = prefix[:, i, None, None] - prefix[:, :i, None]
+        # each interval is a one-cell candidate: the identity channel keeps it
+        # apart from the other cells, and a cell-symmetric constraint scores
+        # it the same whichever cell it becomes
+        candidates = cost[:-1, :i] + score_cells(spec, v, v.sum(axis=0))[3]
+        split[1:, i] = candidates.argmin(axis=1)
+        cost[1:, i] = candidates.min(axis=1)
 
     best_j = int(np.argmin(cost[1:, m])) + 1
     bounds = [m]
-    j, i = best_j, m
-    while j > 0:
-        i = int(split[j, i])
-        bounds.append(i)
-        j -= 1
-    bounds.reverse()
+    for j in range(best_j, 0, -1):
+        bounds.append(int(split[j, bounds[-1]]))
 
     labels = np.empty(m, dtype=np.int64)
-    for r in range(best_j):
-        labels[order[bounds[r] : bounds[r + 1]]] = r
+    labels[order] = np.repeat(np.arange(best_j), np.diff(bounds[::-1]))
     return certified_report(spec, labels, "dp")
 
 
@@ -295,41 +286,36 @@ def check_hyperplane_separation(
     labels = quantizer.hard_assignment
     dist, own, best = _own_and_best(spec, evaluate(spec, quantizer), labels)
 
-    violations: list[SeparationViolation] = []
-    for m in np.nonzero(own > best + tol)[0]:
-        violations.append(
-            SeparationViolation(
-                point=int(m),
-                assigned_cell=int(labels[m]),
-                competing_cell=int(dist[:, m].argmin()),
-                margin=float(own[m] - best[m] - tol),
-                kind="distance",
-            )
-        )
-
-    if spec.num_sources == 2 and spec.num_cells >= 2:
+    # (points, competing cells, margins, kind) of each kind, in report order
+    far = np.flatnonzero(own > best + tol)
+    found = [(far, dist[:, far].argmin(axis=0), own[far] - best[far] - tol, "distance")]
+    if spec.num_sources == 2:
         first = posteriors(spec.joint)[0]
-        populated = [k for k in range(spec.num_cells) if np.any(labels == k)]
-        for a in populated:
-            pts_a = np.nonzero(labels == a)[0]
-            for b in populated:
-                if b == a:
-                    continue
-                vals_b = first[labels == b]
-                lo, hi = float(vals_b.min()), float(vals_b.max())
-                inside = pts_a[(first[pts_a] > lo + tol) & (first[pts_a] < hi - tol)]
-                for m in inside:
-                    violations.append(
-                        SeparationViolation(
-                            point=int(m),
-                            assigned_cell=a,
-                            competing_cell=b,
-                            margin=float(min(first[m] - lo, hi - first[m]) - tol),
-                            kind="ordering",
-                        )
-                    )
+        lo = np.full(spec.num_cells, math.inf)
+        hi = np.full(spec.num_cells, -math.inf)
+        np.minimum.at(lo, labels, first)
+        np.maximum.at(hi, labels, first)
+        # [b, m]: symbol m of another cell lies strictly inside cell b's range (empty if b is)
+        inside = (first > lo[:, None] + tol) & (first < hi[:, None] - tol)
+        inside &= labels != np.arange(spec.num_cells)[:, None]
+        cells, points = np.nonzero(inside)
+        ranked = np.lexsort((points, cells, labels[points]))  # by assigned cell, then cell b
+        cells, points = cells[ranked], points[ranked]
+        margins = np.minimum(first[points] - lo[cells], hi[cells] - first[points]) - tol
+        found.append((points, cells, margins, "ordering"))
 
-    return SeparationReport(separated=not violations, violations=tuple(violations))
+    violations = tuple(
+        SeparationViolation(
+            point=int(m),
+            assigned_cell=int(labels[m]),
+            competing_cell=int(b),
+            margin=float(margin),
+            kind=kind,
+        )
+        for points, cells, margins, kind in found
+        for m, b, margin in zip(points, cells, margins)
+    )
+    return SeparationReport(separated=not violations, violations=violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,18 +343,12 @@ def threshold_structure(spec: ProblemSpec, quantizer: Quantizer) -> ThresholdSol
     if quantizer.kind != "hard":
         raise PreconditionViolatedError("threshold structure is defined for hard quantizers")
     order = _sorted_posterior_order(spec)
-    run_labels: list[int] = []
-    boundaries: list[int] = []
+    order.setflags(write=False)
     sorted_labels = quantizer.hard_assignment[order]
-    for pos, label in enumerate(sorted_labels):
-        if not run_labels or label != run_labels[-1]:
-            if run_labels:
-                boundaries.append(pos)
-            run_labels.append(int(label))
+    cuts = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
+    run_labels = sorted_labels[np.r_[0, cuts]].tolist()
     if len(set(run_labels)) != len(run_labels):
         raise PreconditionViolatedError("cells are not contiguous in sorted posterior order")
-    frozen = np.array(order, dtype=np.int64)
-    frozen.setflags(write=False)
     return ThresholdSolution(
-        sorted_order=frozen, boundaries=tuple(boundaries), labeling=tuple(run_labels)
+        sorted_order=order, boundaries=tuple(cuts.tolist()), labeling=tuple(run_labels)
     )

@@ -220,17 +220,17 @@ def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions):
         return 0, trace, engine.assignment.copy(), engine.objective
 
     sequential = opts.sweep_mode == "sequential"
-    best_obj = engine.objective
-    best_assignment = engine.assignment.copy()
+    # only the batch cycle guard reads the best state seen; a batch sweep
+    # replaces the assignment array instead of writing into it, so no copy
+    best_obj, best_assignment = engine.objective, engine.assignment
     sweeps = 0
     while sweeps < opts.max_iterations:
         sweeps += 1
         changed = engine.sweep_sequential() if sequential else engine.sweep_batch()
         engine.rebuild()
         trace.append(engine.objective)
-        if engine.objective < best_obj:
-            best_obj = engine.objective
-            best_assignment = engine.assignment.copy()
+        if not sequential and engine.objective < best_obj:
+            best_obj, best_assignment = engine.objective, engine.assignment
         if not sequential and engine.objective > trace[-2] + CONVERGENCE_TOL:
             # batch updates can cycle; stop and keep the best partition seen
             trace.append(best_obj)

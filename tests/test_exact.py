@@ -24,7 +24,7 @@ from chanpart import (
     validate_joint,
 )
 from chanpart import exact
-from chanpart.objective import score_cells
+from chanpart.objective import _own_and_best, evaluate, score_cells
 from chanpart.probability import cell_joints, posteriors
 
 from conftest import (
@@ -79,6 +79,49 @@ def oracle_thresholds(spec):
     return best_labels, best_obj
 
 
+def oracle_dp(spec):
+    """The DP with one ``score_cells`` call per (interval count, right end)."""
+    m, k = spec.num_symbols, spec.num_cells
+    order = np.lexsort((np.arange(m), posteriors(spec.joint)[0]))
+    prefix = np.zeros((2, m + 1))
+    prefix[:, 1:] = np.cumsum(spec.joint.entries[:, order], axis=1)
+    max_intervals = min(k, m)
+    cost = np.full((max_intervals + 1, m + 1), math.inf)
+    split = np.zeros((max_intervals + 1, m + 1), dtype=np.int64)
+    cost[0, 0] = 0.0
+    for j in range(1, max_intervals + 1):
+        for i in range(j, m + 1):
+            v = prefix[:, i][:, None, None] - prefix[:, j - 1 : i, None]
+            candidates = cost[j - 1, j - 1 : i] + score_cells(spec, v, v.sum(axis=0))[3]
+            pick = int(np.argmin(candidates))
+            cost[j, i] = float(candidates[pick])
+            split[j, i] = j - 1 + pick
+    labels = np.empty(m, dtype=np.int64)
+    j, i = int(np.argmin(cost[1:, m])) + 1, m
+    while j > 0:
+        a = int(split[j, i])
+        labels[order[a:i]] = j - 1
+        j, i = j - 1, a
+    return labels.tolist(), _scored(spec, labels)
+
+
+def oracle_ordering_violations(spec, labels, tol):
+    """(point, assigned cell, competing cell, margin) of each ordering violation, per cell pair."""
+    first = posteriors(spec.joint)[0]
+    populated = [k for k in range(spec.num_cells) if np.any(labels == k)]
+    found = []
+    for a in populated:
+        pts_a = np.nonzero(labels == a)[0]
+        for b in populated:
+            if b == a:
+                continue
+            vals_b = first[labels == b]
+            lo, hi = float(vals_b.min()), float(vals_b.max())
+            for m in pts_a[(first[pts_a] > lo + tol) & (first[pts_a] < hi - tol)]:
+                found.append((int(m), a, b, float(min(first[m] - lo, hi - first[m]) - tol)))
+    return found
+
+
 def _oracle_instances():
     rng = np.random.default_rng(77)
     for k, m in ((2, 7), (3, 5), (4, 4)):
@@ -104,6 +147,11 @@ def _oracle_instances():
 
 
 ORACLE_INSTANCES = list(_oracle_instances())
+DP_INSTANCES = [
+    param
+    for param in ORACLE_INSTANCES
+    if param.values[0].channel.is_identity and param.values[0].constraint.kind != "linear"
+]
 
 
 class _Stop(Exception):
@@ -351,6 +399,13 @@ class TestOracleAgreement:
         assert report.assignment.tolist() == labels
         assert report.objective.hex() == objective.hex()
 
+    @pytest.mark.parametrize("spec", DP_INSTANCES)
+    def test_dp_matches_per_interval_oracle(self, spec):
+        labels, objective = oracle_dp(spec)
+        report = solve_dp_identity(spec)
+        assert report.assignment.tolist() == labels
+        assert report.objective.hex() == objective.hex()
+
     def test_exact_solvers_match_bruteforce(self):
         rng = np.random.default_rng(73)
         for _ in range(40):
@@ -422,6 +477,45 @@ class TestSeparationCheck:
         assert "distance" in kinds or "ordering" in kinds
 
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05])
+    def test_violations_match_per_pair_oracle(self, tol):
+        rng = np.random.default_rng(79)
+        ordering = empty = 0
+        for _ in range(60):
+            m, k = int(rng.integers(2, 12)), int(rng.integers(2, 6))
+            counts = rng.integers(0, 4, size=(2, m)).astype(float)  # tied posteriors, exact zeros
+            counts[0, counts.sum(axis=0) == 0] = 1.0
+            spec = ProblemSpec(
+                joint=validate_joint(counts / counts.sum()),
+                channel=ChannelMatrix.identity(k),
+                num_cells=k,
+                impurity=ImpuritySpec("entropy"),
+                constraint=ConstraintSpec.none(),
+            )
+            labels = rng.integers(0, int(rng.integers(1, k + 1)), size=m)  # top cells may stay empty
+            quantizer = Quantizer.hard(labels, k)
+            report = check_hyperplane_separation(spec, quantizer, tol)
+
+            # the distance half, one symbol at a time
+            dist, own, best = _own_and_best(spec, evaluate(spec, quantizer), labels)
+            expected = [
+                (int(p), int(labels[p]), int(dist[:, p].argmin()), float(own[p] - best[p] - tol), "distance")
+                for p in np.nonzero(own > best + tol)[0]
+            ]
+            expected += [(*v, "ordering") for v in oracle_ordering_violations(spec, labels, tol)]
+            got = [
+                (v.point, v.assigned_cell, v.competing_cell, v.margin, v.kind) for v in report.violations
+            ]
+            assert [v[3].hex() for v in got] == [v[3].hex() for v in expected]
+            assert got == expected
+            assert all(type(x) is int for v in got for x in v[:3])
+            assert all(type(v[3]) is float for v in got)
+            assert report.separated == (not expected)
+            ordering += sum(v[4] == "ordering" for v in got)
+            empty += np.unique(labels).size < k
+        assert ordering > 0 and empty > 0  # the draws reach both cases
+
+
 class TestThresholdStructure:
     def test_extracts_intervals_of_winner(self, e1_spec):
         report = solve_binary_thresholds(e1_spec)
@@ -430,6 +524,18 @@ class TestThresholdStructure:
         np.testing.assert_array_equal(structure.sorted_order, [2, 3, 1, 0])
         assert len(structure.boundaries) == len(structure.labeling) - 1
         assert len(set(structure.labeling)) == len(structure.labeling)
+
+    def test_three_runs(self):
+        spec = make_e1_spec(num_cells=3)
+        # sorted order Y3, Y4, Y2, Y1 is labelled 2 | 0, 0 | 1
+        structure = threshold_structure(spec, Quantizer.hard([1, 0, 2, 0], 3))
+        np.testing.assert_array_equal(structure.sorted_order, [2, 3, 1, 0])
+        assert structure.boundaries == (1, 3)
+        assert structure.labeling == (2, 0, 1)
+        assert all(type(x) is int for x in structure.boundaries + structure.labeling)
+        assert not structure.sorted_order.flags.writeable
+        with pytest.raises(ValueError):
+            structure.sorted_order[0] = 0
 
     def test_non_contiguous_partition_rejected(self, e1_spec):
         with pytest.raises(PreconditionViolatedError):

@@ -35,6 +35,8 @@ from chanpart import (
 )
 from chanpart.iterative import _SweepEngine
 
+from test_exact import oracle_dp
+
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
@@ -137,6 +139,7 @@ def test_exact_solvers_match_bruteforce(spec):
     solvers = [solve_binary_thresholds]
     if spec.channel.is_identity and spec.constraint.kind != "linear":
         solvers.append(solve_dp_identity)
+        assert solve_dp_identity(spec).assignment.tolist() == oracle_dp(spec)[0]
     else:
         with pytest.raises(PreconditionViolatedError):
             solve_dp_identity(spec)
