@@ -56,14 +56,19 @@ from .probability import Quantizer, posteriors
 #: Refuse exhaustive enumeration beyond 2**22 candidates.
 BRUTEFORCE_BUDGET_BITS = 22.0
 
-#: Tie tolerance for separation certificates.
-SEPARATION_TOL = CERTIFICATE_TOL
-
 #: The enumeration solvers work in blocks of fewer than this many entries per
 #: N x C x max(K, H) cell-joint array and per array of label rows (or of one
 #: row, when one alone is larger): at 128 KiB and above (glibc's default mmap
 #: threshold) numpy's temporaries page-fault afresh on every block.
 _BLOCK_ENTRIES = 2**14
+
+
+def _check_budget(count: int, what: str) -> None:
+    """Refuse an enumeration of more than 2**22 candidates."""
+    if count > 2**BRUTEFORCE_BUDGET_BITS:
+        raise InstanceTooLargeError(
+            f"{what} exceed the enumeration budget of 2^{BRUTEFORCE_BUDGET_BITS:.0f}"
+        )
 
 
 def _label_rows_cells(joint: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -98,11 +103,7 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
     assignments.
     """
     m, k = spec.num_symbols, spec.num_cells
-    bits = m * math.log2(k) if k > 1 else 0.0
-    if bits > BRUTEFORCE_BUDGET_BITS + 1e-9:
-        raise InstanceTooLargeError(
-            f"{k}^{m} assignments exceed the enumeration budget of 2^{BRUTEFORCE_BUDGET_BITS:.0f}"
-        )
+    _check_budget(k**m, f"{k}^{m} assignments")
     joint = spec.joint.entries
     width = spec.num_sources * max(k, spec.channel.num_outputs)
     low = 1  # trailing symbols enumerated inside a block
@@ -178,10 +179,7 @@ def solve_binary_thresholds(spec: ProblemSpec) -> SolveReport:
         raise NotBinaryError("needs a binary source")
     m, k = spec.num_symbols, spec.num_cells
     count = sum(math.comb(m - 1, r - 1) * math.perm(k, r) for r in range(1, min(k, m) + 1))
-    if count > 2**BRUTEFORCE_BUDGET_BITS:
-        raise InstanceTooLargeError(
-            f"interval labellings exceed the enumeration budget of 2^{BRUTEFORCE_BUDGET_BITS:.0f}"
-        )
+    _check_budget(count, "interval labellings")
     block = max(1, (_BLOCK_ENTRIES - 1) // (2 * max(k, spec.channel.num_outputs)))
 
     best_obj, best_labels = math.inf, None
@@ -272,7 +270,7 @@ class SeparationReport:
 
 
 def check_hyperplane_separation(
-    spec: ProblemSpec, quantizer: Quantizer, tol: float = SEPARATION_TOL
+    spec: ProblemSpec, quantizer: Quantizer, tol: float = CERTIFICATE_TOL
 ) -> SeparationReport:
     """Verify the local-optimality geometry of a hard partition.
 

@@ -30,13 +30,10 @@ from .errors import (
     NonPositiveEntryError,
     OutOfRangeError,
 )
+from .probability import INVARIANT_TOL
 
 #: Derivative inputs are clamped to at least this value before evaluation.
 GRADIENT_CLAMP = 1e-12
-
-#: Entries are allowed to dip this far below zero (float dust) before
-#: rejection; anything in [-NEG_TOL, 0) is treated as exactly zero.
-NEG_TOL = 1e-9
 
 _LOG2E = float(np.log2(np.e))
 
@@ -106,7 +103,8 @@ class ConstraintSpec:
 
 def _checked_columns(columns, error) -> np.ndarray:
     v = np.asarray(columns, dtype=float)
-    if np.any(v < -NEG_TOL):
+    # float dust in [-INVARIANT_TOL, 0) counts as exactly zero
+    if np.any(v < -INVARIANT_TOL):
         raise error(f"cell vector has negative entry {float(v.min())}")
     return np.maximum(v, 0.0)
 

@@ -159,7 +159,7 @@ def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
     )
     return EvaluatedState(
         cluster_joints=clusters,
-        output_joints=OutputJoints(entries=outputs, output_mass=outputs.sum(axis=0)),
+        output_joints=OutputJoints(outputs),
         output_gradients=column_gradients(spec.impurity, outputs),
         constraint_derivatives=constraint_derivatives(spec.constraint, clusters.cluster_mass),
         F_value=float(f_value),
@@ -274,15 +274,6 @@ def path_objective(
     if not (0.0 <= t <= 1.0):
         raise OutOfRangeError(f"move fraction must lie in [0, 1], got {t}")
 
-    clusters = push_to_clusters(spec.joint, quantizer)
-    entries, mass = np.array(clusters.entries), np.array(clusters.cluster_mass)
-    u = spec.joint.entries[:, m]
-    pm = float(spec.joint.symbol_marginal[m])
-    entries[:, source_cell] -= t * u
-    entries[:, target_cell] += t * u
-    mass[source_cell] -= t * pm
-    mass[target_cell] += t * pm
-    # float dust from the subtraction at t = 1
-    np.maximum(entries, 0.0, out=entries)
-    np.clip(mass, 0.0, 1.0, out=mass)
-    return float(score_cells(spec, entries, mass)[3])
+    membership = quantizer.membership_matrix()
+    membership[m, source_cell], membership[m, target_cell] = 1.0 - t, t
+    return evaluate(spec, Quantizer.soft(membership)).objective

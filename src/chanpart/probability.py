@@ -65,27 +65,14 @@ def _distribution(raw, what: str, tol: float, rows: bool, min_rows: int = 1) -> 
     if np.any(a < -INVARIANT_TOL):
         raise NegativeEntryError(f"{what} has negative entry {float(a.min())}")
     a = np.maximum(a, 0.0)
-    sums = a.sum(axis=1 if rows else None, keepdims=True).ravel()
+    # a sum past the float range reads inf and is refused below
+    with np.errstate(over="ignore"):
+        sums = a.sum(axis=1 if rows else None, keepdims=True).ravel()
     bad = int(np.argmax(np.abs(sums - 1.0)))
     if abs(sums[bad] - 1.0) > tol:
         name = f"{what} row {bad}" if rows else what
         raise SumNotOneError(f"{name} sums to {float(sums[bad])!r}, expected 1 within {tol}")
     return a
-
-
-def _with_mass(container, mass_field: str, what: str) -> None:
-    """Check and freeze a joint container: its ``entries`` are a distribution
-    and its mass vector holds their column sums."""
-    a = np.asarray(container.entries, dtype=float)
-    w = np.asarray(getattr(container, mass_field), dtype=float)
-    if a.ndim != 2 or w.ndim != 1 or a.shape[1] != w.shape[0]:
-        raise DimensionMismatchError(f"{what} entries {a.shape} inconsistent with mass vector {w.shape}")
-    a = _distribution(a, f"{what} joint matrix", INVARIANT_TOL, rows=False)
-    # written so that a NaN mass fails
-    if not np.all(np.abs(a.sum(axis=0) - w) <= INVARIANT_TOL):
-        raise SumNotOneError(f"{what} column sums disagree with {mass_field}")
-    object.__setattr__(container, "entries", _readonly(a))
-    object.__setattr__(container, mass_field, _readonly(w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,17 +238,21 @@ class Quantizer:
 
 @dataclass(frozen=True, eq=False)
 class ClusterJoints:
-    """Per-cell joint pmf p(X, Z) together with the cell masses p(Z)."""
+    """Per-cell joint pmf p(X, Z); its column sums are the cell masses p(Z)."""
 
     entries: np.ndarray  # shape (N, K)
-    cluster_mass: np.ndarray  # shape (K,)
 
     def __post_init__(self) -> None:
-        _with_mass(self, "cluster_mass", "cluster")
+        a = _distribution(self.entries, "cluster joint matrix", INVARIANT_TOL, rows=False)
+        object.__setattr__(self, "entries", _readonly(a))
 
     @property
     def num_cells(self) -> int:
         return self.entries.shape[1]
+
+    @cached_property
+    def cluster_mass(self) -> np.ndarray:
+        return _readonly(self.entries.sum(axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,14 +260,18 @@ class OutputJoints:
     """Joint pmf p(X, T) at the far end of the relay channel."""
 
     entries: np.ndarray  # shape (N, H)
-    output_mass: np.ndarray  # shape (H,)
 
     def __post_init__(self) -> None:
-        _with_mass(self, "output_mass", "output")
+        a = _distribution(self.entries, "output joint matrix", INVARIANT_TOL, rows=False)
+        object.__setattr__(self, "entries", _readonly(a))
 
     @property
     def num_outputs(self) -> int:
         return self.entries.shape[1]
+
+    @cached_property
+    def output_mass(self) -> np.ndarray:
+        return _readonly(self.entries.sum(axis=0))
 
 
 def posteriors(joint: JointDistribution) -> np.ndarray:
@@ -306,7 +301,7 @@ def push_to_clusters(joint: JointDistribution, quantizer: Quantizer) -> ClusterJ
         entries = cell_joints(joint, quantizer.hard_assignment, quantizer.num_cells)
     else:
         entries = joint.entries @ quantizer.soft_assignment
-    return ClusterJoints(entries=entries, cluster_mass=entries.sum(axis=0))
+    return ClusterJoints(entries)
 
 
 def push_through_channel(clusters: ClusterJoints, channel: ChannelMatrix) -> OutputJoints:
@@ -316,4 +311,4 @@ def push_through_channel(clusters: ClusterJoints, channel: ChannelMatrix) -> Out
             f"clusters have {clusters.num_cells} cells, channel expects {channel.num_inputs}"
         )
     entries = clusters.entries @ channel.entries
-    return OutputJoints(entries=entries, output_mass=entries.sum(axis=0))
+    return OutputJoints(entries)

@@ -96,8 +96,12 @@ class TestSolve:
             ({"beta": 10**400}, "beta"),
             ({"num_cells": 10**400}, "num_cells"),
             ({"constraint": {"kind": "linear", "weights": [10**400, 1]}}, "constraint"),
+            # finite entries whose sum overflows to inf
+            ({"joint_xy": [[1e308, 1e308], [1e308, 1e308]]}, "joint_xy"),
+            ({"channel": [[1e308, 1e308], [0.1, 0.9]]}, "channel"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_value_exits_2_naming_key(self, tmp_path, capsys, overrides, key):
         path = write_doc(tmp_path, e1_doc(**overrides))  # json writes NaN / Infinity
         for argv in (["solve", path, "--solver", "iterative"], ["solve", path], ["compare", path]):

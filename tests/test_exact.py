@@ -213,8 +213,11 @@ class TestBruteforce:
         at_budget = random_instance(rng, binary=True, identity=True, num_symbols=22, num_cells=2)
         report = solve_bruteforce(at_budget)  # exactly 2^22 assignments
         assert report.objective == solve_binary_thresholds(at_budget).objective
-        with pytest.raises(InstanceTooLargeError):
-            solve_bruteforce(random_instance(rng, binary=True, num_symbols=14, num_cells=3))
+        too_large = random_instance(rng, binary=True, num_symbols=14, num_cells=3)
+        with pytest.raises(
+            InstanceTooLargeError, match=r"3\^14 assignments exceed the enumeration budget of 2\^22"
+        ):
+            solve_bruteforce(too_large)
 
     def test_overflowing_objective_still_returns_a_labelling(self):
         # every assignment scores inf; the first one in lexicographic order wins

@@ -162,6 +162,26 @@ class TestPathObjective:
         with pytest.raises(IndexOutOfRangeError):
             path_objective(e1_spec, E1_OPT, 0, 0, 2, 0.5)  # no cell 2
 
+    def test_full_move_matches_evaluate_of_the_moved_partition(self):
+        # includes moves that empty the source cell and more cells than symbols
+        rng = np.random.default_rng(57)
+        emptied = 0
+        for trial in range(120):
+            cells = int(rng.integers(2, 5))
+            symbols = int(rng.integers(1, cells)) if trial % 3 == 0 else None
+            spec = random_instance(rng, num_symbols=symbols, num_cells=cells)
+            labels = random_hard_labels(rng, spec)
+            m = int(rng.integers(spec.num_symbols))
+            source = int(labels[m])
+            target = int(rng.choice([k for k in range(spec.num_cells) if k != source]))
+            moved = labels.copy()
+            moved[m] = target
+            expected = evaluate(spec, Quantizer.hard(moved, spec.num_cells)).objective
+            q = Quantizer.hard(labels, spec.num_cells)
+            assert path_objective(spec, q, m, source, target, 1.0) == pytest.approx(expected, abs=1e-12)
+            emptied += int(np.count_nonzero(labels == source) == 1)
+        assert emptied > 0
+
     def test_chord_slopes_decrease(self):
         """Moving further never improves the per-unit gain of a move."""
         rng = np.random.default_rng(54)
