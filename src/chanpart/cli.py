@@ -2,13 +2,15 @@
 
 One JSON schema (``format: 1``) is used for both problem files and reports,
 so runs are diffable and reproducible.  Exit codes: 0 success, 2 input or
-validation error or an output file that cannot be written, 3 solver
-guard/precondition failure, 4 exact-solver disagreement in ``compare``.
+validation error or an output file that cannot be written (both reported
+by :func:`main`), 3 solver guard/precondition failure, 4 exact-solver
+disagreement in ``compare``.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -186,33 +188,28 @@ def parse_problem_document(doc) -> ProblemFile:
 
 
 def parse_problem_file(path: str) -> ProblemFile:
-    """Read and validate a problem file.
+    """Read and validate a problem file; its bytes are read once.
 
-    orjson reads a file with at most :data:`ORJSON_MAX_DEPTH` opening
-    brackets and braces; a file with more, or one that orjson or validation
-    refuses, is read again by :func:`_parse_with_json`, whose verdict and
-    message stand.  The two agree on every file both accept: orjson's floats
-    are correctly rounded, and an integer past 64 bits, which orjson reads as
-    a float, either fails validation or is used as that same float.
+    orjson decodes a file with at most :data:`ORJSON_MAX_DEPTH` opening
+    brackets and braces.  json decodes the same bytes, as a UTF-8 text-mode
+    handle would, when there are more or when orjson or validation refuses
+    them; its verdict and message stand, a syntax error's line and column
+    included.  The two agree on every file both accept: orjson's floats are
+    correctly rounded, and an integer past 64 bits, which orjson reads as a
+    float, either fails validation or is used as that same float.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-        if len(raw.translate(None, _NOT_OPENING)) <= ORJSON_MAX_DEPTH:
-            return parse_problem_document(orjson.loads(raw))
-    except (OSError, orjson.JSONDecodeError, InputFileError):
-        pass
-    return _parse_with_json(path)
-
-
-def _parse_with_json(path: str) -> ProblemFile:
-    """The reference reading: json on a UTF-8 text-mode handle, whose newline
-    translation sets the line and column of a syntax error."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
     except OSError as exc:
         raise InputFileError(f"{path}: {exc}") from exc
+    try:
+        if len(raw.translate(None, _NOT_OPENING)) <= ORJSON_MAX_DEPTH:
+            return parse_problem_document(orjson.loads(raw))
+    except (orjson.JSONDecodeError, InputFileError):
+        pass
+    try:
+        doc = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputFileError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     # an integer past Python's digit limit, bytes that are not UTF-8, or nesting past the recursion limit
@@ -248,40 +245,26 @@ def report_document(spec: ProblemSpec, report: SolveReport) -> dict:
     }
 
 
-#: Without ``indent`` json uses its C encoder; ``_encode`` indents its output.
-_NUMBERS = json.JSONEncoder(allow_nan=False)
+def _dump(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, byte
+    for byte, for documents with string keys.
 
-
-def _encode(value, indent: str) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``, byte for byte,
-    for documents with string keys, with ``value`` nested at ``indent``.
-
-    A list of plain ints and floats is encoded in one bulk call instead of
-    one Python call per item; scalars and empty containers take json's own
-    C encoder.
+    Only the top level is joined here, so that a list of plain ints such as
+    the labels formats each distinct value once.  Every other value is json's
+    own text indented one level; json escapes the newlines inside strings.
     """
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict) and value:
-        items = sorted(value.items())
-        body = sep.join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in items])
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        kinds = {*map(type, value)}
-        if kinds == {int}:
+    if not doc:
+        return "{}\n"
+    members = []
+    for key, value in sorted(doc.items()):
+        if isinstance(value, list) and value and {*map(type, value)} == {int}:
             # labels: few distinct values, each formatted once
             text = {item: int.__repr__(item) for item in set(value)}
-            body = sep.join(map(text.__getitem__, value))
-        elif kinds <= {int, float}:
-            body = _NUMBERS.encode(value)[1:-1].replace(", ", sep)
+            body = "[\n    " + ",\n    ".join(map(text.__getitem__, value)) + "\n  ]"
         else:
-            body = sep.join([_encode(item, inner) for item in value])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    return _NUMBERS.encode(value)
-
-
-def _dump(doc: dict) -> str:
-    return _encode(doc, "") + "\n"
+            body = json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
+        members.append(f"{encode_basestring_ascii(key)}: {body}")
+    return "{\n  " + ",\n  ".join(members) + "\n}\n"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -309,13 +292,9 @@ def write_posterior_csv(path: str, spec: ProblemSpec, report: SolveReport) -> No
 
 def cmd_solve(args: argparse.Namespace) -> int:
     overrides = {name: getattr(args, name) for name in ("seed", "restarts") if getattr(args, name) is not None}
-    try:
-        pf = parse_problem_file(args.file)
-        with _refusal("options"):
-            options = replace(pf.options, **overrides)
-    except InputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    pf = parse_problem_file(args.file)
+    with _refusal("options"):
+        options = replace(pf.options, **overrides)
 
     solver = args.solver if args.solver is not None else pf.solver
 
@@ -332,11 +311,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        pf = parse_problem_file(args.file)
-    except InputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    pf = parse_problem_file(args.file)
 
     results = []
     exact_objectives = {}
@@ -406,8 +381,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return cmd_solve(args) if args.command == "solve" else cmd_compare(args)
-    # past parsing, which reports its own, an OSError comes from writing an output
-    except OSError as exc:
+    # a problem file refused, or an output file that cannot be written
+    except (InputFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -46,6 +46,7 @@ from .objective import (
     CERTIFICATE_TOL,
     ProblemSpec,
     SolveReport,
+    _check_fits,
     _own_and_best,
     certified_report,
     evaluate,
@@ -340,6 +341,7 @@ def threshold_structure(spec: ProblemSpec, quantizer: Quantizer) -> ThresholdSol
         raise NotBinaryError(f"threshold structure needs a binary source, got N={spec.num_sources}")
     if quantizer.kind != "hard":
         raise PreconditionViolatedError("threshold structure is defined for hard quantizers")
+    _check_fits(spec, quantizer)
     order = _sorted_posterior_order(spec)
     order.setflags(write=False)
     sorted_labels = quantizer.hard_assignment[order]

@@ -147,12 +147,21 @@ def score_cells(spec: ProblemSpec, cells: np.ndarray, mass: np.ndarray) -> tuple
     return outputs, f_values, g_values, spec.beta * f_values + g_values
 
 
-def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
-    """Score a (hard or soft) quantizer and collect its gradient data."""
+def _check_fits(spec: ProblemSpec, quantizer: Quantizer) -> None:
+    """Refuse a quantizer whose cell or symbol count differs from the spec's."""
     if quantizer.num_cells != spec.num_cells:
         raise DimensionMismatchError(
             f"quantizer has {quantizer.num_cells} cells, spec expects {spec.num_cells}"
         )
+    if quantizer.num_points != spec.num_symbols:
+        raise DimensionMismatchError(
+            f"quantizer covers {quantizer.num_points} symbols, joint has {spec.num_symbols}"
+        )
+
+
+def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
+    """Score a (hard or soft) quantizer and collect its gradient data."""
+    _check_fits(spec, quantizer)
     clusters = push_to_clusters(spec.joint, quantizer)
     outputs, f_value, g_value, objective = score_cells(
         spec, clusters.entries, clusters.cluster_mass
@@ -262,6 +271,7 @@ def path_objective(
     """
     if quantizer.kind != "hard":
         raise InvalidMoveError("path objective starts from a hard quantizer")
+    _check_fits(spec, quantizer)
     _check_indices(spec, m, source_cell)
     _check_indices(spec, m, target_cell)
     if source_cell == target_cell:

@@ -1,5 +1,6 @@
 """Problem-file parsing, report emission, exit codes."""
 
+import enum
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from unittest import mock
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanpart.cli import (
@@ -547,6 +548,22 @@ class TestReadingMatchesJson:
     def test_pinned_files(self, tmp_path, raw):
         assert_reads_like_json(tmp_path, raw)
 
+    def test_both_readers_judge_the_bytes_that_were_read(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_bytes(e1_text(joint_xy="[[0.2, 0.15, 0.05, NaN], [0.05, 0.1, 0.2, 0.15]]"))
+        loads = orjson.loads
+
+        def rewrite_then_refuse(raw):
+            # a second read of the file would now find valid E1
+            path.write_bytes(e1_text())
+            return loads(raw)
+
+        with mock.patch("chanpart.cli.orjson.loads", side_effect=rewrite_then_refuse), \
+                mock.patch("chanpart.cli.open", wraps=open, create=True) as opened:
+            with pytest.raises(InputFileError, match="^joint_xy: .*non-finite"):
+                parse_problem_file(path)
+        assert opened.call_count == 1
+
     @pytest.mark.parametrize("depth", [ORJSON_MAX_DEPTH - 2, ORJSON_MAX_DEPTH - 1, ORJSON_MAX_DEPTH])
     def test_nesting_at_the_orjson_limit(self, tmp_path, depth):
         # joint_xy sits one level inside the top object
@@ -633,6 +650,10 @@ DOCUMENTS = st.dictionaries(
 )
 
 
+#: An int subclass whose items json writes as ints.
+LEVEL = enum.IntEnum("Level", "ONE TWO")
+
+
 def json_dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -640,6 +661,13 @@ def json_dump(doc) -> str:
 class TestReportEncoder:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(doc=DOCUMENTS)
+    # the edges of the top-level label-list path
+    @example(doc={})
+    @example(doc={"assignment": [1, 2, 2, 1], "format": 1})
+    @example(doc={"a": [1, True]})
+    @example(doc={"a": [1, LEVEL.TWO]})
+    @example(doc={"a": [[1, 2], [3]]})
+    @example(doc={"a": [10**400, 1], "b": 10**400})
     def test_matches_json_indented_sorted_bytes(self, doc):
         assert _dump(doc) == json_dump(doc)
 

@@ -9,6 +9,7 @@ import pytest
 from chanpart import (
     ChannelMatrix,
     ConstraintSpec,
+    DimensionMismatchError,
     ENTROPY,
     ImpuritySpec,
     InstanceTooLargeError,
@@ -543,6 +544,19 @@ class TestThresholdStructure:
     def test_non_contiguous_partition_rejected(self, e1_spec):
         with pytest.raises(PreconditionViolatedError):
             threshold_structure(e1_spec, Quantizer.hard([0, 1, 0, 1], 2))
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            (Quantizer.hard([0, 0, 1], 2), "quantizer covers 3 symbols, joint has 4"),
+            (Quantizer.hard([0, 0, 1, 1, 0], 2), "quantizer covers 5 symbols, joint has 4"),
+            (Quantizer.hard([0, 0, 1, 1], 3), "quantizer has 3 cells, spec expects 2"),
+        ],
+        ids=["fewer-symbols", "more-symbols", "more-cells"],
+    )
+    def test_quantizer_that_does_not_fit_the_spec_rejected(self, e1_spec, q, message):
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            threshold_structure(e1_spec, q)
 
     def test_needs_binary_source(self):
         rng = np.random.default_rng(76)

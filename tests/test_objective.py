@@ -162,6 +162,21 @@ class TestPathObjective:
         with pytest.raises(IndexOutOfRangeError):
             path_objective(e1_spec, E1_OPT, 0, 0, 2, 0.5)  # no cell 2
 
+    @pytest.mark.parametrize(
+        "num_cells, q, m, source, target, message",
+        [
+            # the target cell exists in the spec only
+            (3, Quantizer.hard([0, 0, 1, 1], 2), 0, 0, 2, "quantizer has 2 cells, spec expects 3"),
+            # the moved symbol exists in the spec only
+            (2, Quantizer.hard([0, 0, 1], 2), 3, 1, 0, "quantizer covers 3 symbols, joint has 4"),
+        ],
+        ids=["fewer-cells", "fewer-symbols"],
+    )
+    def test_quantizer_that_does_not_fit_the_spec_rejected(self, num_cells, q, m, source, target, message):
+        spec = make_e1_spec(num_cells=num_cells)
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            path_objective(spec, q, m, source, target, 0.5)
+
     def test_full_move_matches_evaluate_of_the_moved_partition(self):
         # includes moves that empty the source cell and more cells than symbols
         rng = np.random.default_rng(57)
