@@ -257,7 +257,7 @@ def _dump(doc: dict) -> str:
         return "{}\n"
     members = []
     for key, value in sorted(doc.items()):
-        if isinstance(value, list) and value and {*map(type, value)} == {int}:
+        if isinstance(value, list) and {*map(type, value)} == {int}:
             # labels: few distinct values, each formatted once
             text = {item: int.__repr__(item) for item in set(value)}
             body = "[\n    " + ",\n    ".join(map(text.__getitem__, value)) + "\n  ]"
