@@ -90,6 +90,47 @@ def _echo(text: str) -> str:
     return f"{text[:ECHO_LIMIT]}... ({len(text) - ECHO_LIMIT} more characters)"
 
 
+def _repr_members(value):
+    """One level of ``repr(value)`` for a decoded JSON value: text pieces, and each
+    list item or object value wrapped in a 1-tuple, to be written out in its place."""
+    if type(value) is list:
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield (item,)
+        yield "]"
+    elif type(value) is dict:
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield f"{', ' if i else ''}{key!r}: "
+            yield (item,)
+        yield "}"
+    else:
+        yield repr(value)
+
+
+def _echo_repr(value) -> str:
+    """``_echo(repr(value))`` for a decoded JSON value, its lists and objects written
+    out only up to the cut, with no recursion; a value cut short does not say how
+    many characters were cut."""
+    pieces, size = [], 0
+    stack = [_repr_members(value)]
+    while stack and size <= ECHO_LIMIT:
+        piece = next(stack[-1], None)
+        if piece is None:
+            stack.pop()
+        elif isinstance(piece, tuple):
+            stack.append(_repr_members(piece[0]))
+        else:
+            pieces.append(piece)
+            size += len(piece)
+    text = "".join(pieces)
+    if not stack:
+        return _echo(text)
+    return f"{text[:ECHO_LIMIT]}... (more characters)"
+
+
 @contextmanager
 def _refusal(key: str):
     """Report a library type's refusal of the value under ``key`` as an :class:`InputFileError`."""
@@ -112,7 +153,7 @@ def parse_problem_document(doc) -> ProblemFile:
             raise InputFileError(f"{_echo(str(key))}: unknown key")
     fmt = _require(doc, "format")
     if fmt != 1:
-        raise InputFileError(f"format: unsupported version {_echo(repr(fmt))}, expected 1")
+        raise InputFileError(f"format: unsupported version {_echo_repr(fmt)}, expected 1")
 
     joint_doc = _require(doc, "joint_xy")
     with _refusal("joint_xy"):
@@ -120,7 +161,7 @@ def parse_problem_document(doc) -> ProblemFile:
 
     num_cells = _require(doc, "num_cells")
     if not isinstance(num_cells, int) or isinstance(num_cells, bool) or num_cells < 1:
-        raise InputFileError(f"num_cells: expected a positive integer, got {_echo(repr(num_cells))}")
+        raise InputFileError(f"num_cells: expected a positive integer, got {_echo_repr(num_cells)}")
 
     if "channel" in doc and doc["channel"] is not None:
         with _refusal("channel"):
@@ -135,7 +176,7 @@ def parse_problem_document(doc) -> ProblemFile:
     beta = _require(doc, "beta")
     # an int past the float range compares exactly, so float(beta) below cannot overflow
     if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0 < beta <= sys.float_info.max:
-        raise InputFileError(f"beta: expected a positive finite number, got {_echo(repr(beta))}")
+        raise InputFileError(f"beta: expected a positive finite number, got {_echo_repr(beta)}")
 
     impurity_name = _require(doc, "impurity")
     with _refusal("impurity"):
@@ -165,13 +206,13 @@ def parse_problem_document(doc) -> ProblemFile:
     # term are both within beta * gradient_bound; a linear constraint adds at most max |w|
     scaled = spec.beta * gradient_bound(impurity, joint.num_sources)
     if not scaled < OBJECTIVE_LIMIT:
-        raise InputFileError(f"beta: {_echo(repr(beta))} is too large: the objective could overflow")
+        raise InputFileError(f"beta: {_echo_repr(beta)} is too large: the objective could overflow")
     if constraint.kind == "linear" and not scaled + float(np.abs(constraint.weights).max()) < OBJECTIVE_LIMIT:
         raise InputFileError("constraint: linear weights too large: the objective could overflow")
 
     solver = _require(doc, "solver")
     if solver not in SOLVER_NAMES:
-        raise InputFileError(f"solver: unknown name {_echo(repr(solver))}, expected one of {SOLVER_NAMES}")
+        raise InputFileError(f"solver: unknown name {_echo_repr(solver)}, expected one of {SOLVER_NAMES}")
 
     option_doc = doc.get("options", {})
     if option_doc is None:

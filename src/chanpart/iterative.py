@@ -13,6 +13,15 @@ The sequential sweep is exact yet scans symbols in blocks: the statistics
 change only when a symbol moves, so between two moves every symbol's
 distances can be computed in one block, and the block's decisions up to
 its first move are the ones a symbol-by-symbol visit makes.
+
+A symbol's scaled distances depend only on its posterior column p(X|Y_m),
+so the batch sweep computes them once per distinct posterior and hands
+each symbol the nearest cell of its bit-identical representative.  The
+distinct columns are found once per solve.  When no two columns are equal
+(or their keys collide) the sweep reads the raw columns as before.
+Assignments, cell joints, restarts and the certificate stay on the M
+symbols.  The sequential sweep cannot merge symbols: the statistics change
+after every move, so a merged visit would change the visit order.
 """
 
 from __future__ import annotations
@@ -66,6 +75,47 @@ class SolverOptions:
             object.__setattr__(self, "initial_assignment", tuple(np.asarray(self.initial_assignment).tolist()))
 
 
+#: Multipliers of the finalizer of MurmurHash3, which the column fold runs per word.
+_MIX = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
+
+
+def _column_keys(words: np.ndarray) -> np.ndarray:
+    """One uint64 key per column of an N x M uint64 matrix; equal columns get equal keys.
+
+    Each word is mixed in so that each of its bits reaches every bit of the
+    key: the exponent bits of posteriors agree often and would otherwise
+    cancel between rows.
+    """
+    keys = np.zeros(words.shape[1], dtype=np.uint64)
+    for row in words:
+        keys ^= row
+        for multiplier in _MIX:
+            keys ^= keys >> np.uint64(33)
+            keys *= multiplier
+    return keys
+
+
+def _distinct_columns(posteriors: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(columns, inverse)``: the distinct posterior columns and each symbol's index among them.
+
+    Two columns merge only when their float64 words are equal, so ``0.0`` and
+    ``-0.0`` stay apart, and ``columns[:, inverse]`` is ``posteriors`` bit for
+    bit.  When nothing merges, or two different columns share a key,
+    ``posteriors`` itself comes back with no inverse.
+    """
+    words = np.ascontiguousarray(posteriors).view(np.uint64)
+    # no return_index: the stable sort it needs costs about three times the default one
+    keys, inverse = np.unique(_column_keys(words), return_inverse=True)
+    if keys.size == inverse.size:
+        return posteriors, None
+    index = np.empty(keys.size, dtype=np.intp)
+    index[inverse] = np.arange(inverse.size)  # one column of each key
+    distinct = np.take(words, index, axis=1)
+    if not np.array_equal(np.take(distinct, inverse, axis=1), words):
+        return posteriors, None
+    return distinct.view(np.float64), inverse
+
+
 class _SweepEngine:
     """Mutable per-restart statistics.
 
@@ -99,7 +149,7 @@ class _SweepEngine:
     #: a span without a move, up to ``BLOCK``, and halves after a move.
     MIN_SPAN = 8
 
-    def __init__(self, spec: ProblemSpec, assignment: np.ndarray) -> None:
+    def __init__(self, spec: ProblemSpec, assignment: np.ndarray, distinct=None) -> None:
         self.spec = spec
         self.assignment = np.array(Quantizer.hard(assignment, spec.num_cells).hard_assignment)
         if self.assignment.shape != (spec.num_symbols,):
@@ -111,6 +161,8 @@ class _SweepEngine:
         self.symbol_mass = spec.joint.symbol_marginal
         self.channel = spec.channel.entries
         self.posteriors = posteriors(spec.joint)
+        # ``_distinct_columns`` of the posteriors; the first batch sweep finds it when not given
+        self.distinct = distinct
         self._mass_dependent_derivs = spec.constraint.kind == "entropy"
         self.rebuild()
 
@@ -145,10 +197,11 @@ class _SweepEngine:
             self.derivs = constraint_derivatives(self.spec.constraint, self.mass)
         self._refresh()
 
-    def distances(self, block) -> np.ndarray:
-        """K x B scaled distances of the symbols in ``block`` at the current statistics."""
+    def distances(self, block, columns=None) -> np.ndarray:
+        """K x B scaled distances of the posterior columns in ``block`` at the current
+        statistics; the columns are the symbols' own unless ``columns`` is given."""
         grads_t = np.ascontiguousarray(self.gradients.T)
-        cols = self.posteriors[:, block]
+        cols = (self.posteriors if columns is None else columns)[:, block]
         return _distances(self.channel, grads_t, cols, self.spec.beta, self.derivs[:, None])
 
     def sweep_sequential(self) -> int:
@@ -174,13 +227,22 @@ class _SweepEngine:
         return changed
 
     def sweep_batch(self) -> int:
-        """Move every symbol at once to its nearest cell, computed in column blocks;
-        the statistics are stale until ``rebuild``."""
-        total = self.assignment.size
+        """Move every symbol at once to its nearest cell; the statistics are stale until ``rebuild``.
+
+        Distances are computed in column blocks, once per distinct posterior,
+        and each symbol takes the nearest cell of its bit-identical column.
+        When no columns merge, the blocks are slices of the raw posteriors.
+        """
+        if self.distinct is None:
+            self.distinct = _distinct_columns(self.posteriors)
+        columns, inverse = self.distinct
+        total = columns.shape[1]
         nearest = np.empty(total, dtype=np.int64)
         for start in range(0, total, self.BLOCK):
             block = slice(start, min(start + self.BLOCK, total))
-            nearest[block] = self.distances(block).argmin(axis=0)
+            nearest[block] = self.distances(block, columns).argmin(axis=0)
+        if inverse is not None:
+            nearest = nearest[inverse]
         changed = int(np.count_nonzero(nearest != self.assignment))
         self.assignment = nearest
         return changed
@@ -212,9 +274,9 @@ def _random_assignment(rng: np.random.Generator, num_symbols: int, num_cells: in
             return a
 
 
-def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions):
+def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions, distinct):
     """One restart; returns (sweeps, trace, assignment, objective)."""
-    engine = _SweepEngine(spec, start)
+    engine = _SweepEngine(spec, start, distinct)
     trace = [engine.objective]
     if spec.num_cells == 1:
         return 0, trace, engine.assignment.copy(), engine.objective
@@ -264,10 +326,12 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
             for child in children
         ]
 
+    # batch sweeps of every restart share one set of distinct posteriors
+    distinct = _distinct_columns(posteriors(spec.joint)) if opts.sweep_mode == "batch" else None
     iterations: list[int] = []
     best = None  # (objective, assignment, trace)
     for start in starts:
-        sweeps, trace, assignment, obj = _run_restart(spec, start, opts)
+        sweeps, trace, assignment, obj = _run_restart(spec, start, opts, distinct)
         iterations.append(sweeps)
         if best is None or obj < best[0]:
             best = (obj, assignment, trace)

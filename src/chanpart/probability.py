@@ -47,16 +47,17 @@ def _check_integer(name: str, value) -> None:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+    """``a`` itself, made read-only; only for arrays no caller holds."""
+    a.setflags(write=False)
+    return a
 
 
 def _distribution(raw, what: str, tol: float, rows: bool, min_rows: int = 1) -> np.ndarray:
     """Checked probability array: 2-D of at least ``min_rows`` rows and one
     column, finite, no entry below ``-INVARIANT_TOL`` (float dust is clipped
     to 0), and each row (``rows``) or else the total within ``tol`` of 1.
-    Every container and validator checks here, in that order."""
+    Every container and validator checks here, in that order.  The result is
+    a new array that the caller owns."""
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] < min_rows or a.shape[1] < 1:
         raise DimensionMismatchError(f"{what} needs a 2-D shape of at least ({min_rows}, 1), got {a.shape}")
@@ -88,11 +89,7 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         a = _distribution(self.entries, "joint distribution", INVARIANT_TOL, rows=False, min_rows=2)
-        col = a.sum(axis=0)
-        if np.any(col <= 0.0):
-            dead = int(np.argmin(col))
-            raise ZeroColumnError(f"data symbol {dead} has zero probability")
-        object.__setattr__(self, "entries", _readonly(a))
+        object.__setattr__(self, "entries", _symbol_entries(a))
 
     @property
     def num_sources(self) -> int:
@@ -113,15 +110,30 @@ class JointDistribution:
         return self.entries.sum(axis=0)
 
 
+def _symbol_entries(a: np.ndarray) -> np.ndarray:
+    """Checked joint entries ``a``, made read-only, refusing a data symbol of zero mass."""
+    col = a.sum(axis=0)
+    if np.any(col <= 0.0):
+        dead = int(np.argmin(col))
+        raise ZeroColumnError(f"data symbol {dead} has zero probability")
+    return _readonly(a)
+
+
 def validate_joint(raw) -> JointDistribution:
     """Validate and normalize an externally supplied joint matrix.
 
     The total is rescaled to exactly one when it deviates by at most
     ``INPUT_TOL``; larger deviations raise ``SumNotOneError``.  Negative
-    entries and all-zero columns are rejected.
+    entries and all-zero columns are rejected.  The entries are checked and
+    copied once: rescaling a valid array by a total within ``INPUT_TOL`` of
+    1 keeps every container invariant but the positive symbol masses, which
+    are checked after it.
     """
     a = _distribution(raw, "joint distribution", INPUT_TOL, rows=False, min_rows=2)
-    return JointDistribution(a / float(a.sum()))
+    a /= float(a.sum())
+    joint = object.__new__(JointDistribution)
+    object.__setattr__(joint, "entries", _symbol_entries(a))
+    return joint
 
 
 @dataclass(frozen=True, eq=False)

@@ -132,6 +132,18 @@ def tied_spec(num_symbols: int, num_cells: int) -> ProblemSpec:
     )
 
 
+def pam_joint(rng: np.random.Generator, num_sources: int, num_bins: int) -> np.ndarray:
+    """Smoothed (+1) histogram of PAM levels through unit-variance noise, 20 samples
+    per bin; the sparse tail bins share count vectors, so their posteriors tie exactly."""
+    levels = 2.0 * np.arange(num_sources) - (num_sources - 1)
+    x = rng.integers(0, num_sources, size=20 * num_bins)
+    y = levels[x] + rng.standard_normal(x.size)
+    edge = levels[-1] + 3.0
+    bins = np.clip(((y + edge) * (num_bins / (2.0 * edge))).astype(np.int64), 0, num_bins - 1)
+    counts = np.bincount(x * num_bins + bins, minlength=num_sources * num_bins) + 1.0
+    return counts.reshape(num_sources, num_bins) / counts.sum()
+
+
 def random_hard_labels(rng: np.random.Generator, spec: ProblemSpec) -> np.ndarray:
     return rng.integers(0, spec.num_cells, size=spec.num_symbols).astype(np.int64)
 

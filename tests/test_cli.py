@@ -23,6 +23,8 @@ from chanpart.cli import (
     InputFileError,
     ProblemFile,
     _dump,
+    _echo,
+    _echo_repr,
     main,
     parse_problem_document,
     parse_problem_file,
@@ -143,9 +145,10 @@ class TestSolve:
         "overrides, start",
         [
             ({"format": [0.123456789] * 10**6}, "error: format: unsupported version [0.123456789, "),
+            ({"solver": {"k": [0.5] * 10**6}}, "error: solver: unknown name {'k': [0.5, 0.5, "),
             ({"k" * 10**6: 1}, "error: " + "k" * ECHO_LIMIT + "... ("),
         ],
-        ids=["format-value", "unknown-key"],
+        ids=["format-value", "solver-object", "unknown-key"],
     )
     def test_oversized_echo_exits_2_on_a_short_line(self, tmp_path, capsys, overrides, start):
         path = write_doc(tmp_path, e1_doc(**overrides))
@@ -683,3 +686,31 @@ class TestReportEncoder:
             json_dump(doc)
         with pytest.raises(ValueError):
             _dump(doc)
+
+
+class TestEchoRepr:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(doc=DOCUMENTS)
+    @example(doc={"a": "x" * (ECHO_LIMIT - 9)})  # a repr of exactly ECHO_LIMIT characters
+    @example(doc={"a": "x" * (ECHO_LIMIT - 8)})
+    def test_is_the_cut_repr(self, doc):
+        for value in (doc, *doc.values()):
+            text = repr(value)
+            echoed = _echo_repr(value)
+            if echoed != _echo(text):
+                # cut before the repr was complete
+                assert len(text) > ECHO_LIMIT
+                assert echoed == f"{text[:ECHO_LIMIT]}... (more characters)"
+
+    def test_short_reprs_are_unchanged(self):
+        values = [None, True, 1, -0.0, 1e-7, 10**40, "", "é\n\"", [], {}, [1, [2.5, {"k": None}]],
+                  {"a": [1, 2], "b": {"c": "d"}}, list(range(40))]
+        for value in values:
+            assert len(repr(value)) <= ECHO_LIMIT
+            assert _echo_repr(value) == repr(value)
+
+    def test_deep_nesting_is_cut_without_recursion(self):
+        value = []
+        for _ in range(10**5):
+            value = [value]
+        assert _echo_repr(value) == "[" * ECHO_LIMIT + "... (more characters)"

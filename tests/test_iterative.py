@@ -23,12 +23,15 @@ from chanpart import (
     solve_iterative,
     validate_joint,
 )
-from chanpart.iterative import _SweepEngine
+from chanpart import iterative
+from chanpart.iterative import _distinct_columns, _SweepEngine
 from chanpart.objective import score_cells
+from chanpart.probability import posteriors
 
 from conftest import (
     binary_entropy,
     make_e1_spec,
+    pam_joint,
     partition_sets,
     random_hard_labels,
     random_instance,
@@ -298,6 +301,79 @@ class TestBlockScan:
                 moved_at_block_end |= any(i == stop - 1 < m - 1 for i, stop in moves)
                 moved_last |= any(i == m - 1 for i, _ in moves)
         assert moved_at_block_end and moved_last
+
+
+def _words(columns: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(columns).view(np.uint64)
+
+
+def _pam_batch_spec(seed: int, num_bins: int = 6000) -> ProblemSpec:
+    rng = np.random.default_rng(seed)
+    raw = rng.random((5, 5)) + 0.05
+    return ProblemSpec(
+        joint=validate_joint(pam_joint(rng, 4, num_bins)),
+        channel=ChannelMatrix(raw / raw.sum(axis=1, keepdims=True)),
+        num_cells=5,
+        impurity=ImpuritySpec("entropy"),
+        constraint=ConstraintSpec.none(),
+    )
+
+
+def _equal_keys(words):
+    return np.zeros(words.shape[1], dtype=np.uint64)
+
+
+class TestDistinctColumns:
+    """The batch sweep's front end: distinct posteriors, bit for bit, or the raw columns."""
+
+    def test_every_column_is_bit_equal_to_its_representative(self):
+        for post in (posteriors(_pam_batch_spec(3).joint), posteriors(tied_spec(9, 2).joint)):
+            columns, inverse = _distinct_columns(post)
+            assert columns.flags.c_contiguous
+            assert columns.shape == (post.shape[0], np.unique(post.T, axis=0).shape[0])
+            assert inverse.shape == (post.shape[1],)
+            np.testing.assert_array_equal(_words(columns)[:, inverse], _words(post))
+
+    def test_tie_free_input_returns_the_raw_columns(self):
+        post = posteriors(validate_joint(np.random.default_rng(4).dirichlet(np.ones(3 * 500)).reshape(3, 500)))
+        columns, inverse = _distinct_columns(post)
+        assert columns is post and inverse is None
+
+    def test_a_key_collision_falls_back_to_the_raw_columns(self):
+        spec = _pam_batch_spec(5)
+        post = posteriors(spec.joint)
+        start = np.random.default_rng(5).integers(0, spec.num_cells, size=spec.num_symbols)
+        merged = _SweepEngine(spec, start)
+        changed = merged.sweep_batch()
+        assert merged.distinct[1] is not None
+        with mock.patch.object(iterative, "_column_keys", _equal_keys):
+            columns, inverse = _distinct_columns(post)
+            assert columns is post and inverse is None
+            raw = _SweepEngine(spec, start)
+            assert raw.sweep_batch() == changed
+        assert raw.distinct[1] is None
+        np.testing.assert_array_equal(raw.assignment, merged.assignment)
+
+    def test_signed_zeros_never_merge(self):
+        post = np.array([[0.0, -0.0, 0.0, 0.5], [1.0, 1.0, 1.0, 0.5]])
+        columns, inverse = _distinct_columns(post)
+        assert inverse[0] == inverse[2] != inverse[1]
+        np.testing.assert_array_equal(_words(columns)[:, inverse], _words(post))
+        apart = post[:, :2]
+        assert _distinct_columns(apart)[1] is None
+        with mock.patch.object(iterative, "_column_keys", _equal_keys):
+            assert _distinct_columns(apart)[1] is None
+
+    def test_found_once_per_batch_solve_and_never_in_sequential_mode(self):
+        spec = _pam_batch_spec(6, num_bins=500)
+        with mock.patch.object(iterative, "_distinct_columns", wraps=_distinct_columns) as found:
+            solve_iterative(spec, SolverOptions(restarts=3, sweep_mode="batch"))
+            assert found.call_count == 1
+            solve_iterative(spec, SolverOptions(restarts=3))
+            reassign_sweep(spec, np.zeros(spec.num_symbols, dtype=np.int64))
+            assert found.call_count == 1
+            reassign_sweep(spec, np.zeros(spec.num_symbols, dtype=np.int64), "batch")
+            assert found.call_count == 2
 
 
 class TestOptionsValidation:

@@ -1,5 +1,7 @@
 """Containers and the linear forward model."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from chanpart import (
     ClusterJoints,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    JointDistribution,
     NegativeEntryError,
     OutOfRangeError,
     OutputJoints,
@@ -20,6 +23,8 @@ from chanpart import (
     validate_channel,
     validate_joint,
 )
+
+from chanpart import probability
 
 from conftest import E1_JOINT
 
@@ -61,6 +66,30 @@ class TestValidateJoint:
         j = validate_joint(E1_JOINT)
         with pytest.raises(ValueError):
             j.entries[0, 0] = 0.3
+
+    def test_checks_and_copies_once(self):
+        raw = np.array([[0.25, -0.0, 0.2, 1e-300], [0.05, 0.3, 0.0, 0.2]]) * (1.0 + 5e-7)
+        before = raw.copy()
+        with mock.patch.object(probability, "_distribution", wraps=probability._distribution) as check:
+            j = validate_joint(raw)
+        assert check.call_count == 1
+        assert raw.tobytes() == before.tobytes() and not np.shares_memory(j.entries, raw)
+        # the bits of the rescaled array checked again by the container
+        assert j.entries.tobytes() == JointDistribution(np.maximum(raw, 0.0) / raw.sum()).entries.tobytes()
+
+    @pytest.mark.parametrize(
+        ("entries", "error"),
+        [
+            ([[0.6], [0.6]], SumNotOneError),
+            ([[0.5, 0.0], [0.5, 0.0]], ZeroColumnError),
+            ([[np.nan, 0.5], [0.5, 0.0]], OutOfRangeError),
+            ([[1.0, 0.0]], DimensionMismatchError),
+        ],
+        ids=["sum", "zero-column", "nan-entry", "one-row"],
+    )
+    def test_direct_construction_still_checks(self, entries, error):
+        with pytest.raises(error):
+            JointDistribution(np.array(entries))
 
 
 class TestPosteriors:

@@ -5,7 +5,9 @@ entries are small integer counts (so exact zeros and exactly tied posteriors
 are common), the cell count may exceed the symbol count (so cells start and
 stay empty), and the relay may be rank-1 (every cell reaches the same
 outputs, so every distance ties).  The exact solvers must match bruteforce
-on the same instances.
+on the same instances.  The batch sweep, which computes distances once per
+distinct posterior, must move exactly as a sweep over the raw columns on
+these, on all-tied instances and on smoothed PAM histograms.
 """
 
 from unittest import mock
@@ -27,6 +29,7 @@ from chanpart import (
     check_hyperplane_separation,
     distance_matrix,
     evaluate,
+    reassign_sweep,
     solve_binary_thresholds,
     solve_bruteforce,
     solve_dp_identity,
@@ -34,7 +37,9 @@ from chanpart import (
     validate_joint,
 )
 from chanpart.iterative import _SweepEngine
+from chanpart.probability import posteriors
 
+from conftest import pam_joint, tied_spec
 from test_exact import oracle_dp
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -75,6 +80,30 @@ def boundary_instances(draw, min_sources: int = 2, max_sources: int = 3) -> Prob
         )
     else:
         constraint = ConstraintSpec(kind)
+    return ProblemSpec(
+        joint=joint,
+        channel=channel,
+        num_cells=k,
+        impurity=ImpuritySpec(draw(st.sampled_from(("entropy", "gini")))),
+        constraint=constraint,
+        beta=draw(st.sampled_from((0.1, 1.0, 10.0))),
+    )
+
+
+@st.composite
+def pam_instances(draw) -> ProblemSpec:
+    """A smoothed PAM histogram; 5000 bins span two sweep blocks of raw columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    num_bins = draw(st.sampled_from((40, 700, 5000)))
+    joint = validate_joint(pam_joint(rng, draw(st.integers(2, 4)), num_bins))
+    k = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        channel = ChannelMatrix.identity(k)
+    else:
+        raw = rng.random((k, k)) + 0.05
+        channel = ChannelMatrix(raw / raw.sum(axis=1, keepdims=True))
+    kind = draw(st.sampled_from(("none", "entropy", "linear")))
+    constraint = ConstraintSpec.linear(rng.uniform(0.0, 0.5, k)) if kind == "linear" else ConstraintSpec(kind)
     return ProblemSpec(
         joint=joint,
         channel=channel,
@@ -147,3 +176,28 @@ def test_exact_solvers_match_bruteforce(spec):
         report = solver(spec)
         assert abs(report.objective - truth.objective) <= 1e-9
         assert report.optimality_certificate
+
+
+@PROPERTY_SETTINGS
+@given(
+    spec=st.one_of(
+        boundary_instances(),
+        st.builds(tied_spec, st.integers(1, 40), st.integers(1, 5)),
+        pam_instances(),
+    ),
+    seed=st.integers(0, 3),
+)
+def test_batch_sweep_on_distinct_posteriors_matches_raw_columns(spec, seed):
+    post = posteriors(spec.joint)
+    ties = np.unique(post.T, axis=0).shape[0] < spec.num_symbols
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        start = rng.integers(0, spec.num_cells, size=spec.num_symbols)
+        merged, raw = _SweepEngine(spec, start), _SweepEngine(spec, start, (post, None))
+        changed = merged.sweep_batch()
+        assert (merged.distinct[1] is not None) == ties
+        assert changed == raw.sweep_batch()
+        np.testing.assert_array_equal(merged.assignment, raw.assignment)
+        labels, swept = reassign_sweep(spec, start, "batch")
+        assert swept == changed
+        np.testing.assert_array_equal(labels, raw.assignment)
