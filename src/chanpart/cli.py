@@ -90,45 +90,37 @@ def _echo(text: str) -> str:
     return f"{text[:ECHO_LIMIT]}... ({len(text) - ECHO_LIMIT} more characters)"
 
 
-def _repr_members(value):
-    """One level of ``repr(value)`` for a decoded JSON value: text pieces, and each
-    list item or object value wrapped in a 1-tuple, to be written out in its place."""
+def _repr_pieces(value):
+    """``repr(value)`` for a decoded JSON value, piece by piece; no piece is empty.
+
+    A list or object yields its bracket before it descends, so a reader that stops past
+    :data:`ECHO_LIMIT` characters recurses at most ``ECHO_LIMIT + 1`` levels deep."""
     if type(value) is list:
         yield "["
         for i, item in enumerate(value):
             if i:
                 yield ", "
-            yield (item,)
+            yield from _repr_pieces(item)
         yield "]"
     elif type(value) is dict:
         yield "{"
         for i, (key, item) in enumerate(value.items()):
             yield f"{', ' if i else ''}{key!r}: "
-            yield (item,)
+            yield from _repr_pieces(item)
         yield "}"
     else:
         yield repr(value)
 
 
 def _echo_repr(value) -> str:
-    """``_echo(repr(value))`` for a decoded JSON value, its lists and objects written
-    out only up to the cut, with no recursion; a value cut short does not say how
-    many characters were cut."""
-    pieces, size = [], 0
-    stack = [_repr_members(value)]
-    while stack and size <= ECHO_LIMIT:
-        piece = next(stack[-1], None)
-        if piece is None:
-            stack.pop()
-        elif isinstance(piece, tuple):
-            stack.append(_repr_members(piece[0]))
-        else:
-            pieces.append(piece)
-            size += len(piece)
-    text = "".join(pieces)
-    if not stack:
-        return _echo(text)
-    return f"{text[:ECHO_LIMIT]}... (more characters)"
+    """``repr(value)`` for a decoded JSON value, written out only up to the cut at
+    :data:`ECHO_LIMIT` characters; a value cut short does not say how many were cut."""
+    text = ""
+    for piece in _repr_pieces(value):
+        text += piece
+        if len(text) > ECHO_LIMIT:
+            return f"{text[:ECHO_LIMIT]}... (more characters)"
+    return text
 
 
 @contextmanager
@@ -318,16 +310,11 @@ def _write_output(text: str, path: str | None) -> None:
 
 def write_posterior_csv(path: str, spec: ProblemSpec, report: SolveReport) -> None:
     """One row per data symbol in original order; indices are 1-based."""
-    post = posteriors(spec.joint)
-    mass = spec.joint.symbol_marginal
-    labels = report.assignment
     names = ["index", "p_Y"] + [f"p_X{n + 1}|Y" for n in range(spec.num_sources)] + ["assigned_cell"]
     lines = [",".join(names)]
-    for m in range(spec.num_symbols):
-        cells = [str(m + 1), repr(float(mass[m]))]
-        cells += [repr(float(post[n, m])) for n in range(spec.num_sources)]
-        cells.append(str(int(labels[m]) + 1))
-        lines.append(",".join(cells))
+    rows = zip(spec.joint.symbol_marginal.tolist(), posteriors(spec.joint).T.tolist(), (report.assignment + 1).tolist())
+    for index, (mass, post, label) in enumerate(rows, 1):
+        lines.append(",".join(map(repr, (index, mass, *post, label))))
     _write_output("\n".join(lines) + "\n", path)
 
 

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OutOfRangeError
+from .errors import OutOfRangeError
 from .impurity import _column_gradients, constraint_derivatives
 # SolveReport is also imported from this module by callers
-from .objective import ProblemSpec, SolveReport, _distances, certified_report, score_cells
+from .objective import ProblemSpec, SolveReport, _check_fits, _distances, certified_report, score_cells
 from .probability import Quantizer, _check_integer, cell_joints, posteriors
 
 SWEEP_MODES = ("sequential", "batch")
@@ -149,20 +149,15 @@ class _SweepEngine:
     #: a span without a move, up to ``BLOCK``, and halves after a move.
     MIN_SPAN = 8
 
-    def __init__(self, spec: ProblemSpec, assignment: np.ndarray, distinct=None) -> None:
+    def __init__(self, spec: ProblemSpec, assignment: np.ndarray) -> None:
         self.spec = spec
-        self.assignment = np.array(Quantizer.hard(assignment, spec.num_cells).hard_assignment)
-        if self.assignment.shape != (spec.num_symbols,):
-            raise DimensionMismatchError(
-                f"assignment shape {self.assignment.shape} does not cover "
-                f"{spec.num_symbols} symbols"
-            )
+        quantizer = Quantizer.hard(assignment, spec.num_cells)
+        _check_fits(spec, quantizer)
+        self.assignment = np.array(quantizer.hard_assignment)
         self.joint = spec.joint.entries
         self.symbol_mass = spec.joint.symbol_marginal
         self.channel = spec.channel.entries
         self.posteriors = posteriors(spec.joint)
-        # ``_distinct_columns`` of the posteriors; the first batch sweep finds it when not given
-        self.distinct = distinct
         self._mass_dependent_derivs = spec.constraint.kind == "entropy"
         self.rebuild()
 
@@ -226,16 +221,14 @@ class _SweepEngine:
             span = max(span // 2, self.MIN_SPAN)
         return changed
 
-    def sweep_batch(self) -> int:
+    def sweep_batch(self, columns: np.ndarray, inverse: np.ndarray | None) -> int:
         """Move every symbol at once to its nearest cell; the statistics are stale until ``rebuild``.
 
-        Distances are computed in column blocks, once per distinct posterior,
-        and each symbol takes the nearest cell of its bit-identical column.
-        When no columns merge, the blocks are slices of the raw posteriors.
+        ``(columns, inverse)`` is :func:`_distinct_columns` of the posteriors.
+        Distances are computed in column blocks, once per column, and symbol
+        ``m`` takes the nearest cell of ``columns[:, inverse[m]]``; with no
+        inverse the columns are the raw posteriors, read as slices.
         """
-        if self.distinct is None:
-            self.distinct = _distinct_columns(self.posteriors)
-        columns, inverse = self.distinct
         total = columns.shape[1]
         nearest = np.empty(total, dtype=np.int64)
         for start in range(0, total, self.BLOCK):
@@ -262,7 +255,10 @@ def reassign_sweep(spec: ProblemSpec, assignment, mode: str = "sequential"):
             raise OutOfRangeError("reassignment sweeps operate on hard quantizers")
         assignment = assignment.hard_assignment
     engine = _SweepEngine(spec, assignment)
-    changed = engine.sweep_sequential() if mode == "sequential" else engine.sweep_batch()
+    if mode == "sequential":
+        changed = engine.sweep_sequential()
+    else:
+        changed = engine.sweep_batch(*_distinct_columns(engine.posteriors))
     return engine.assignment.copy(), changed
 
 
@@ -270,13 +266,13 @@ def _random_assignment(rng: np.random.Generator, num_symbols: int, num_cells: in
     # reject degenerate all-in-one-cell draws when a real choice exists
     while True:
         a = rng.integers(0, num_cells, size=num_symbols).astype(np.int64)
-        if num_cells == 1 or num_symbols == 1 or np.unique(a).size > 1:
+        if num_cells == 1 or num_symbols == 1 or a.min() != a.max():
             return a
 
 
 def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions, distinct):
-    """One restart; returns (sweeps, trace, assignment, objective)."""
-    engine = _SweepEngine(spec, start, distinct)
+    """One restart on batch mode's ``_distinct_columns``; returns (sweeps, trace, assignment, objective)."""
+    engine = _SweepEngine(spec, start)
     trace = [engine.objective]
     if spec.num_cells == 1:
         return 0, trace, engine.assignment.copy(), engine.objective
@@ -288,7 +284,7 @@ def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions, dist
     sweeps = 0
     while sweeps < opts.max_iterations:
         sweeps += 1
-        changed = engine.sweep_sequential() if sequential else engine.sweep_batch()
+        changed = engine.sweep_sequential() if sequential else engine.sweep_batch(*distinct)
         engine.rebuild()
         trace.append(engine.objective)
         if not sequential and engine.objective < best_obj:

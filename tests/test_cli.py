@@ -147,8 +147,11 @@ class TestSolve:
             ({"format": [0.123456789] * 10**6}, "error: format: unsupported version [0.123456789, "),
             ({"solver": {"k": [0.5] * 10**6}}, "error: solver: unknown name {'k': [0.5, 0.5, "),
             ({"k" * 10**6: 1}, "error: " + "k" * ECHO_LIMIT + "... ("),
+            # 500 opening brackets: past ORJSON_MAX_DEPTH, so json decodes the file and the value reaches the echo
+            ({"format": json.loads("[" * 500 + "]" * 500)},
+             f"error: format: unsupported version {'[' * ECHO_LIMIT}... (more characters), expected 1\n"),
         ],
-        ids=["format-value", "solver-object", "unknown-key"],
+        ids=["format-value", "solver-object", "unknown-key", "deep-format-value"],
     )
     def test_oversized_echo_exits_2_on_a_short_line(self, tmp_path, capsys, overrides, start):
         path = write_doc(tmp_path, e1_doc(**overrides))

@@ -343,16 +343,19 @@ class TestDistinctColumns:
         spec = _pam_batch_spec(5)
         post = posteriors(spec.joint)
         start = np.random.default_rng(5).integers(0, spec.num_cells, size=spec.num_symbols)
+        distinct = _distinct_columns(post)
+        assert distinct[1] is not None
         merged = _SweepEngine(spec, start)
-        changed = merged.sweep_batch()
-        assert merged.distinct[1] is not None
+        changed = merged.sweep_batch(*distinct)
         with mock.patch.object(iterative, "_column_keys", _equal_keys):
             columns, inverse = _distinct_columns(post)
             assert columns is post and inverse is None
             raw = _SweepEngine(spec, start)
-            assert raw.sweep_batch() == changed
-        assert raw.distinct[1] is None
+            assert raw.sweep_batch(columns, inverse) == changed
+            labels, swept = reassign_sweep(spec, start, "batch")
         np.testing.assert_array_equal(raw.assignment, merged.assignment)
+        assert swept == changed
+        np.testing.assert_array_equal(labels, merged.assignment)
 
     def test_signed_zeros_never_merge(self):
         post = np.array([[0.0, -0.0, 0.0, 0.5], [1.0, 1.0, 1.0, 0.5]])
@@ -411,6 +414,12 @@ class TestOptionsValidation:
         assert SolverOptions() != from_list
         assert hash(SolverOptions()) == hash(SolverOptions())
         assert replace(from_list, seed=1) != from_list
+
+    def test_wrong_length_gets_the_message_evaluate_gives(self, e1_spec):
+        for refuse in (lambda: reassign_sweep(e1_spec, [0, 1]),
+                       lambda: solve_iterative(e1_spec, SolverOptions(initial_assignment=[0, 1]))):
+            with pytest.raises(DimensionMismatchError, match="^quantizer covers 2 symbols, joint has 4$"):
+                refuse()
 
     def test_bad_initial_assignment_rejected(self, e1_spec):
         short = SolverOptions(initial_assignment=np.array([0, 1]))

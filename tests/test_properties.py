@@ -36,7 +36,7 @@ from chanpart import (
     solve_iterative,
     validate_joint,
 )
-from chanpart.iterative import _SweepEngine
+from chanpart.iterative import _distinct_columns, _SweepEngine
 from chanpart.probability import posteriors
 
 from conftest import pam_joint, tied_spec
@@ -190,13 +190,14 @@ def test_exact_solvers_match_bruteforce(spec):
 def test_batch_sweep_on_distinct_posteriors_matches_raw_columns(spec, seed):
     post = posteriors(spec.joint)
     ties = np.unique(post.T, axis=0).shape[0] < spec.num_symbols
+    distinct = _distinct_columns(post)
+    assert (distinct[1] is not None) == ties
     rng = np.random.default_rng(seed)
     for _ in range(3):
         start = rng.integers(0, spec.num_cells, size=spec.num_symbols)
-        merged, raw = _SweepEngine(spec, start), _SweepEngine(spec, start, (post, None))
-        changed = merged.sweep_batch()
-        assert (merged.distinct[1] is not None) == ties
-        assert changed == raw.sweep_batch()
+        merged, raw = _SweepEngine(spec, start), _SweepEngine(spec, start)
+        changed = merged.sweep_batch(*distinct)
+        assert changed == raw.sweep_batch(post, None)
         np.testing.assert_array_equal(merged.assignment, raw.assignment)
         labels, swept = reassign_sweep(spec, start, "batch")
         assert swept == changed
