@@ -122,7 +122,7 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
             cells = head_cells[:, p : p + 1]
             for s in range(m - low, m):
                 cells = _extend(cells, joint[:, s])
-            objs = score_cells(spec, cells, cells.sum(axis=0))[3]
+            objs = score_cells(spec, cells)[3]
             pick = int(np.argmin(objs))
             if best_index is None or objs[pick] < best_obj:
                 best_obj, best_index = objs[pick], (first + p) * k**low + pick
@@ -186,7 +186,7 @@ def solve_binary_thresholds(spec: ProblemSpec) -> SolveReport:
     best_obj, best_labels = math.inf, None
     rank = np.argsort(_sorted_posterior_order(spec))
     for cells, interval, labellings in _interval_blocks(spec.joint.entries, k, rank, block):
-        objs = score_cells(spec, cells, cells.sum(axis=0))[3]
+        objs = score_cells(spec, cells)[3]
         pick = int(np.argmin(objs))
         if best_labels is None or objs[pick] < best_obj:
             cut, labelling = divmod(pick, len(labellings))
@@ -228,7 +228,7 @@ def solve_dp_identity(spec: ProblemSpec) -> SolveReport:
         # each interval is a one-cell candidate: the identity channel keeps it
         # apart from the other cells, and a cell-symmetric constraint scores
         # it the same whichever cell it becomes
-        candidates = cost[:-1, :i] + score_cells(spec, v, v.sum(axis=0))[3]
+        candidates = cost[:-1, :i] + score_cells(spec, v)[3]
         split[1:, i] = candidates.argmin(axis=1)
         cost[1:, i] = candidates.min(axis=1)
 

@@ -5,8 +5,9 @@ scaled distance (ties go to the lowest cell index).  In sequential mode the
 cluster statistics are refreshed after every single move, which makes the
 objective non-increasing move by move; in batch mode the whole sweep reuses
 one set of statistics, which is faster but carries no monotonicity
-guarantee, so it runs behind a cycle guard that keeps the best partition
-seen.  Restarts draw independent random initial assignments and the best
+guarantee.  Both modes end a restart on a sweep that moves nothing or gains
+at most ``CONVERGENCE_TOL``, and a batch restart returns the best partition
+it saw.  Restarts draw independent random initial assignments and the best
 restart wins.
 
 The sequential sweep is exact yet scans symbols in blocks: the statistics
@@ -38,10 +39,10 @@ from .probability import Quantizer, _check_integer, cell_joints, posteriors
 
 SWEEP_MODES = ("sequential", "batch")
 
-#: Ends restarts in both modes.  A sequential sweep whose objective drop is
-#: at most this counts as converged, exactly like a sweep that moves nothing:
-#: such a sweep only shuffles symbols between tied cells.  In batch mode a
-#: sweep that raises the objective by more than this trips the cycle guard.
+#: Ends restarts in both modes.  A sweep whose objective drop is at most this
+#: counts as converged, exactly like a sweep that moves nothing: it only
+#: shuffles symbols between tied cells or, in batch mode, raises the
+#: objective or cycles.
 CONVERGENCE_TOL = 1e-12
 
 
@@ -124,11 +125,11 @@ class _SweepEngine:
     channel outputs and their impurity gradients, and the constraint
     derivatives when they depend on cell mass (the entropy constraint; for
     ``none`` and ``linear`` they are fixed and computed once per
-    ``rebuild``).  F, G and the objective are scored by ``score_cells`` only
-    when ``objective`` is read, and the score is cached until the next
-    ``move`` or ``rebuild``.  ``rebuild`` re-aggregates the joints exactly
-    and is called at every sweep boundary to keep the float dust of the
-    column updates from accumulating.
+    ``rebuild``).  ``rebuild`` re-aggregates the joints exactly and sets
+    ``objective`` and the gradients from one ``score_cells`` call, as
+    :func:`evaluate` does; moves leave ``objective`` stale.  It runs at every
+    sweep boundary, which also keeps the float dust of the column updates
+    from accumulating.
 
     Every distance comes from ``distances``, which calls the kernel the
     certificate uses.  A sequential sweep reads a span of symbols at once and moves only
@@ -161,22 +162,13 @@ class _SweepEngine:
         self._mass_dependent_derivs = spec.constraint.kind == "entropy"
         self.rebuild()
 
-    @property
-    def objective(self) -> float:
-        if self._objective is None:
-            self._objective = float(score_cells(self.spec, self.clusters, self.mass)[3])
-        return self._objective
-
     def rebuild(self) -> None:
         self.clusters = cell_joints(self.spec.joint, self.assignment, self.spec.num_cells)
         self.mass = self.clusters.sum(axis=0)
         self.derivs = constraint_derivatives(self.spec.constraint, self.mass)
-        self._refresh()
-
-    def _refresh(self) -> None:
-        self._objective = None
-        # clusters and channel are nonnegative, so the outputs need no check
-        self.gradients = _column_gradients(self.spec.impurity, self.clusters @ self.channel)
+        outputs, _, _, objective = score_cells(self.spec, self.clusters)
+        self.objective = float(objective)
+        self.gradients = _column_gradients(self.spec.impurity, outputs)
 
     def move(self, m: int, target: int) -> None:
         source = int(self.assignment[m])
@@ -190,7 +182,8 @@ class _SweepEngine:
         self.assignment[m] = target
         if self._mass_dependent_derivs:
             self.derivs = constraint_derivatives(self.spec.constraint, self.mass)
-        self._refresh()
+        # clusters and channel are nonnegative, so the outputs need no check
+        self.gradients = _column_gradients(self.spec.impurity, self.clusters @ self.channel)
 
     def distances(self, block, columns=None) -> np.ndarray:
         """K x B scaled distances of the posterior columns in ``block`` at the current
@@ -255,11 +248,9 @@ def reassign_sweep(spec: ProblemSpec, assignment, mode: str = "sequential"):
             raise OutOfRangeError("reassignment sweeps operate on hard quantizers")
         assignment = assignment.hard_assignment
     engine = _SweepEngine(spec, assignment)
-    if mode == "sequential":
-        changed = engine.sweep_sequential()
-    else:
-        changed = engine.sweep_batch(*_distinct_columns(engine.posteriors))
-    return engine.assignment.copy(), changed
+    changed = (engine.sweep_sequential() if mode == "sequential"
+               else engine.sweep_batch(*_distinct_columns(engine.posteriors)))
+    return engine.assignment, changed
 
 
 def _random_assignment(rng: np.random.Generator, num_symbols: int, num_cells: int) -> np.ndarray:
@@ -271,46 +262,44 @@ def _random_assignment(rng: np.random.Generator, num_symbols: int, num_cells: in
 
 
 def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions, distinct):
-    """One restart on batch mode's ``_distinct_columns``; returns (sweeps, trace, assignment, objective)."""
+    """One restart on batch mode's ``_distinct_columns``; returns (sweeps, trace, assignment),
+    the trace ending at the assignment's objective."""
     engine = _SweepEngine(spec, start)
     trace = [engine.objective]
     if spec.num_cells == 1:
-        return 0, trace, engine.assignment.copy(), engine.objective
+        return 0, trace, engine.assignment
 
     sequential = opts.sweep_mode == "sequential"
-    # only the batch cycle guard reads the best state seen; a batch sweep
-    # replaces the assignment array instead of writing into it, so no copy
+    # only batch mode reads the best state seen; a batch sweep replaces the
+    # assignment array instead of writing into it, so no copy
     best_obj, best_assignment = engine.objective, engine.assignment
-    sweeps = 0
-    while sweeps < opts.max_iterations:
-        sweeps += 1
+    for sweeps in range(1, opts.max_iterations + 1):
         changed = engine.sweep_sequential() if sequential else engine.sweep_batch(*distinct)
         engine.rebuild()
         trace.append(engine.objective)
         if not sequential and engine.objective < best_obj:
             best_obj, best_assignment = engine.objective, engine.assignment
-        if not sequential and engine.objective > trace[-2] + CONVERGENCE_TOL:
-            # batch updates can cycle; stop and keep the best partition seen
-            trace.append(best_obj)
-            break
-        # a sequential sweep that gains at most CONVERGENCE_TOL only shuffles ties
-        if changed == 0 or (sequential and trace[-2] - engine.objective <= CONVERGENCE_TOL):
+        # a sweep that gains at most CONVERGENCE_TOL only shuffles ties, or rises
+        if changed == 0 or trace[-2] - engine.objective <= CONVERGENCE_TOL:
             break
 
     if sequential:
-        return sweeps, trace, engine.assignment.copy(), engine.objective
-    return sweeps, trace, best_assignment, best_obj
+        return sweeps, trace, engine.assignment
+    if best_obj < engine.objective:
+        trace.append(best_obj)  # the last batch sweep rose: end at the state returned
+    return sweeps, trace, best_assignment
 
 
 def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> SolveReport:
     """Best locally optimal partition over independent restarts.
 
     Within a restart, statistics updates alternate with nearest-distance
-    reassignment until a sweep changes nothing, a sequential sweep gains at
-    most ``CONVERGENCE_TOL``, or ``max_iterations`` is hit.
-    The restart with the smallest final objective wins (ties keep the
-    earliest restart).  Identical spec and options give a bit-identical
-    report.
+    reassignment until a sweep changes nothing or gains at most
+    ``CONVERGENCE_TOL``, or ``max_iterations`` is hit.  A sequential restart
+    returns its last partition, a batch restart the best it saw, and the
+    trace ends at its objective.  The restart with the smallest final
+    objective wins (ties keep the earliest restart).  Identical spec and
+    options give a bit-identical report.
     """
     opts = options or SolverOptions()
     if opts.initial_assignment is not None:
@@ -325,13 +314,11 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
     # batch sweeps of every restart share one set of distinct posteriors
     distinct = _distinct_columns(posteriors(spec.joint)) if opts.sweep_mode == "batch" else None
     iterations: list[int] = []
-    best = None  # (objective, assignment, trace)
+    best = None  # (assignment, trace)
     for start in starts:
-        sweeps, trace, assignment, obj = _run_restart(spec, start, opts, distinct)
+        sweeps, trace, assignment = _run_restart(spec, start, opts, distinct)
         iterations.append(sweeps)
-        if best is None or obj < best[0]:
-            best = (obj, assignment, trace)
+        if best is None or trace[-1] < best[1][-1]:
+            best = (assignment, trace)
 
-    return certified_report(
-        spec, best[1], "iterative", tuple(iterations), tuple(float(x) for x in best[2])
-    )
+    return certified_report(spec, best[0], "iterative", tuple(iterations), tuple(best[1]))

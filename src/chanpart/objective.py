@@ -24,7 +24,9 @@ a cell of minimal distance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -69,9 +71,12 @@ class ProblemSpec:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < float(self.beta) < np.inf:
-            raise OutOfRangeError(f"beta must be positive and finite, got {self.beta}")
-        object.__setattr__(self, "beta", float(self.beta))
+        beta = self.beta
+        # exact tests, so float(beta) cannot overflow; repr refuses an int of over 4,300 digits
+        if isinstance(beta, bool) or not isinstance(beta, Real) or not 0 < beta <= sys.float_info.max:
+            shown = f"an int of {beta.bit_length()} bits" if isinstance(beta, int) and beta.bit_length() > 64 else repr(beta)
+            raise OutOfRangeError(f"beta must be a positive finite number, got {shown}")
+        object.__setattr__(self, "beta", float(beta))
         _check_integer("num_cells", self.num_cells)
         if self.channel.num_inputs != self.num_cells:
             raise DimensionMismatchError(
@@ -128,13 +133,13 @@ class SolveReport:
         return self.best_quantizer.hard_assignment
 
 
-def score_cells(spec: ProblemSpec, cells: np.ndarray, mass: np.ndarray) -> tuple:
+def score_cells(spec: ProblemSpec, cells: np.ndarray) -> tuple:
     """``(outputs, F, G, objective)`` of cell joints; every solver scores here.
 
     ``cells`` holds the K cells on its last axis: one N x K partition, with
-    ``mass`` its K cell masses and scalar F, G and objective, or N x C x K
-    for C candidates at once, with C x K masses and C-vectors of F, G and
-    objective.  A candidate's F has the bits it would get alone; under a
+    scalar F, G and objective, or N x C x K for C candidates at once, with
+    C-vectors of F, G and objective.  The cell masses are the sums over the
+    first axis.  A candidate's F has the bits it would get alone; under a
     linear constraint its G may differ in the last bits, as C masses meet
     the weights in one matrix product.
     """
@@ -143,7 +148,7 @@ def score_cells(spec: ProblemSpec, cells: np.ndarray, mass: np.ndarray) -> tuple
     # sums of nonnegative joint entries through a nonnegative relay need no check
     impurities = _column_impurities(spec.impurity, outputs.reshape(len(outputs), -1))
     f_values = impurities.reshape(outputs.shape[1:]).sum(axis=-1)
-    g_values = constraint_total(spec.constraint, mass)
+    g_values = constraint_total(spec.constraint, cells.sum(axis=0))
     return outputs, f_values, g_values, spec.beta * f_values + g_values
 
 
@@ -163,9 +168,7 @@ def evaluate(spec: ProblemSpec, quantizer: Quantizer) -> EvaluatedState:
     """Score a (hard or soft) quantizer and collect its gradient data."""
     _check_fits(spec, quantizer)
     clusters = push_to_clusters(spec.joint, quantizer)
-    outputs, f_value, g_value, objective = score_cells(
-        spec, clusters.entries, clusters.cluster_mass
-    )
+    outputs, f_value, g_value, objective = score_cells(spec, clusters.entries)
     return EvaluatedState(
         cluster_joints=clusters,
         output_joints=OutputJoints(outputs),

@@ -43,7 +43,7 @@ E1_EXPECTED = 0.5 * binary_entropy(0.7) + 0.5 * binary_entropy(0.3)
 
 def _scored(spec, labels):
     clusters = cell_joints(spec.joint, labels, spec.num_cells)
-    return score_cells(spec, clusters, clusters.sum(axis=0))[3]
+    return score_cells(spec, clusters)[3]
 
 
 def oracle_bruteforce(spec):
@@ -93,7 +93,7 @@ def oracle_dp(spec):
     for j in range(1, max_intervals + 1):
         for i in range(j, m + 1):
             v = prefix[:, i][:, None, None] - prefix[:, j - 1 : i, None]
-            candidates = cost[j - 1, j - 1 : i] + score_cells(spec, v, v.sum(axis=0))[3]
+            candidates = cost[j - 1, j - 1 : i] + score_cells(spec, v)[3]
             pick = int(np.argmin(candidates))
             cost[j, i] = float(candidates[pick])
             split[j, i] = j - 1 + pick
@@ -169,11 +169,11 @@ def first_block_sizes(monkeypatch, solve, spec, calls):
         sizes.extend([(len(labels), labels.size), (cells.shape[1], cells.size)])
         return cells
 
-    def scored(spec, cells, mass):
+    def scored(spec, cells):
         sizes.append((cells.shape[1], cells.size))
         if len(sizes) >= calls:
             raise _Stop
-        return score_cells(spec, cells, mass)
+        return score_cells(spec, cells)
 
     monkeypatch.setattr(exact, "_label_rows_cells", built)
     monkeypatch.setattr(exact, "score_cells", scored)
@@ -385,7 +385,7 @@ class TestOracleAgreement:
         for column in joint.T:
             extended = exact._extend(extended, column)
         np.testing.assert_array_equal(extended, cells)  # both sum in ascending symbol order
-        blocked = exact.score_cells(spec, cells, cells.sum(axis=0))[3]
+        blocked = exact.score_cells(spec, cells)[3]
         expected = np.array([_scored(spec, row) for row in labels])
         if spec.constraint.kind == "linear":
             # masses @ weights is a BLAS gemv here and a dot in score_cells: they may round apart

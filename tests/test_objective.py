@@ -69,6 +69,22 @@ class TestEvaluate:
                 make_e1_spec(num_cells=count, channel=ChannelMatrix.identity(rows))
         assert make_e1_spec(num_cells=np.int64(2)).num_cells == 2
 
+    @pytest.mark.parametrize(
+        "beta",
+        [0, -1.0, np.nan, np.inf, 10**400, 10**4999, -(10**4999), True, np.True_, "2", None],
+        ids=["zero", "negative", "nan", "inf", "10^400", "5000-digit", "negative-5000-digit", "True",
+             "np.True_", "str", "None"],
+    )
+    def test_spec_refuses_beta_outside_the_floats(self, beta):
+        # every refusal is the package's own error, and building its message cannot raise
+        with pytest.raises(OutOfRangeError, match="^beta must be a positive finite number, got "):
+            make_e1_spec(beta=beta)
+
+    def test_spec_stores_beta_as_a_float(self):
+        for beta in (2, np.int64(3), np.float64(2.5), 1e308):
+            stored = make_e1_spec(beta=beta).beta
+            assert type(stored) is float and stored == beta
+
     def test_gradients_shapes(self, e1_spec):
         state = evaluate(e1_spec, E1_OPT)
         assert state.output_gradients.shape == (2, 2)

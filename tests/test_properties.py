@@ -202,3 +202,20 @@ def test_batch_sweep_on_distinct_posteriors_matches_raw_columns(spec, seed):
         labels, swept = reassign_sweep(spec, start, "batch")
         assert swept == changed
         np.testing.assert_array_equal(labels, raw.assignment)
+
+
+@PROPERTY_SETTINGS
+@given(
+    spec=st.one_of(
+        boundary_instances(),
+        st.builds(tied_spec, st.integers(1, 40), st.integers(1, 5)),
+        pam_instances(),
+    ),
+    mode=st.sampled_from(("sequential", "batch")),
+    seed=st.integers(0, 3),
+)
+def test_every_restart_stops_and_the_trace_ends_at_the_report(spec, mode, seed):
+    opts = SolverOptions(seed=seed, restarts=2, sweep_mode=mode)
+    report = solve_iterative(spec, opts)
+    assert all(sweeps < opts.max_iterations for sweeps in report.iterations_used)
+    assert report.objective == report.objective_trace[-1]
