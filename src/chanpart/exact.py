@@ -16,10 +16,12 @@ Each solver checks its own domain before any work and raises
 that is not binary) with a short reason, which ``chanpart compare`` reports
 as the solver's ``reason``; the two enumerations also refuse more than 2**22
 candidates.  They score candidates in blocks, summing each cell joint in
-ascending symbol order as ``cell_joints`` does and then calling
-``score_cells`` on the whole block, so a candidate's objective has the bits
-of the report's own arithmetic (under a linear constraint it may differ in
-the last bits: a block's masses meet the weights in one matrix product).
+ascending symbol order as ``cell_joints`` does, so a candidate's objective
+has the bits of the report's own arithmetic (under a linear constraint it
+may differ in the last bits: a block's masses meet the weights in one
+matrix product).  The thresholds call ``score_cells`` on each block.
+Bruteforce builds a block's distinct cells once, in a subset table, and over
+the identity relay scores each of them once, in ``score_cells``' arithmetic.
 Ties go to the first candidate in enumeration order.  The DP scores each
 interval once, through ``score_cells`` as well, as a candidate of one cell.
 
@@ -42,6 +44,7 @@ from .errors import (
     NotBinaryError,
     PreconditionViolatedError,
 )
+from .impurity import _column_impurities, constraint_total
 from .objective import (
     CERTIFICATE_TOL,
     ProblemSpec,
@@ -85,20 +88,53 @@ def _label_rows_cells(joint: np.ndarray, labels: np.ndarray, k: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _extend(cells: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """Give each of C candidates K children; child d adds the symbol ``column`` to cell d."""
-    n, c, k = cells.shape
-    grown = np.repeat(cells, k, axis=1)
-    grown.reshape(n, c, k * k)[:, :, :: k + 1] += column[:, None, None]
-    return grown
+def _subset_table(head: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The N x K cells ``head`` plus every subset of the N x S ``columns``.
+
+    Column b * K + d of the N x 2^S K result is cell d plus the columns in
+    bitmask b (bit j: column j), added in ascending order as ``cell_joints``
+    adds a cell's symbols.
+    """
+    n, s = columns.shape
+    table = np.empty((n, 2**s, head.shape[1]))
+    table[:, 0] = head
+    for j in range(s):  # the subsets with bit j add column j to those without
+        np.add(table[:, : 2**j], columns[:, j, None, None], out=table[:, 2**j : 2 ** (j + 1)])
+    return table.reshape(n, -1)
+
+
+def _subset_slots(k: int, low: int) -> np.ndarray:
+    """C x K subset-table columns of the C = K^low labellings of ``low`` symbols,
+    in lexicographic order: cell d of labelling c is column ``slot[c, d]``.
+    Each symbol j gives every labelling K children, child d adding bit j to
+    the bitmask of cell d."""
+    slot = np.arange(k)[None]
+    for j in range(low):
+        slot = (slot[:, None] + 2**j * k * np.eye(k, dtype=np.int64)).reshape(-1, k)
+    return slot
+
+
+def _block_objectives(spec: ProblemSpec, table: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Objectives of the candidates whose cells are the ``slot`` columns of ``table``,
+    in ``score_cells``' arithmetic.  Over the identity relay a cell is its own
+    output, so each table column is scored once and the candidates gather
+    the scores; any other relay gathers the cells for ``score_cells``."""
+    if not spec.channel.is_identity:
+        return score_cells(spec, np.take(table, slot, axis=1))[3]
+    f_values = np.take(_column_impurities(spec.impurity, table), slot).sum(axis=-1)
+    g_values = constraint_total(spec.constraint, np.take(table.sum(axis=0), slot))
+    return spec.beta * f_values + g_values
 
 
 def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
     """Exact minimizer over all K^M hard assignments.
 
     Assignment vectors are enumerated in lexicographic order, one block per
-    prefix of leading labels: the prefixes' cell joints are built a group at
-    a time and each block extends one through the remaining symbols.  The
+    head of leading labels: the heads' cell joints are built a group at a
+    time.  A block's candidates differ only in where its trailing symbols
+    go, so their cells are K * 2^low distinct sums, the head's cells plus
+    each subset of the trailing symbols; one subset table per block holds
+    them, and :func:`_block_objectives` scores the block from it.  The
     winner is the first assignment in that order whose objective, in the
     report's arithmetic, is the smallest.  Refuses more than 2**22
     assignments.
@@ -112,17 +148,16 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
         low += 1
     powers = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
     prefixes = k ** (m - low)
-    group = max(1, (_BLOCK_ENTRIES - 1) // width)  # prefixes whose cell joints are built at once
+    group = max(1, (_BLOCK_ENTRIES - 1) // width)  # heads whose cell joints are built at once
+    slot = _subset_slots(k, low)
 
     best_obj, best_index = math.inf, None
     for first in range(0, prefixes, group):
         heads = np.arange(first, min(first + group, prefixes))[:, None] // powers[low:] % k
         head_cells = _label_rows_cells(joint[:, : m - low], heads, k)
         for p in range(len(heads)):
-            cells = head_cells[:, p : p + 1]
-            for s in range(m - low, m):
-                cells = _extend(cells, joint[:, s])
-            objs = score_cells(spec, cells)[3]
+            table = _subset_table(head_cells[:, p], joint[:, m - low :])
+            objs = _block_objectives(spec, table, slot)
             pick = int(np.argmin(objs))
             if best_index is None or objs[pick] < best_obj:
                 best_obj, best_index = objs[pick], (first + p) * k**low + pick

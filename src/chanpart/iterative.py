@@ -35,7 +35,7 @@ from .errors import OutOfRangeError
 from .impurity import _column_gradients, constraint_derivatives
 # SolveReport is also imported from this module by callers
 from .objective import ProblemSpec, SolveReport, _check_fits, _distances, certified_report, score_cells
-from .probability import Quantizer, _check_integer, cell_joints, posteriors
+from .probability import Quantizer, _check_integer, _count_text, cell_joints, posteriors
 
 SWEEP_MODES = ("sequential", "batch")
 
@@ -69,7 +69,7 @@ class SolverOptions:
             value = getattr(self, name)
             _check_integer(name, value)
             if value < least:
-                raise OutOfRangeError(f"{name} must be {rule}, got {value}")
+                raise OutOfRangeError(f"{name} must be {rule}, got {_count_text(value)}")
         if self.sweep_mode not in SWEEP_MODES:
             raise OutOfRangeError(f"sweep_mode must be one of {SWEEP_MODES}, got {self.sweep_mode!r}")
         if self.initial_assignment is not None:

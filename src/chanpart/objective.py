@@ -51,6 +51,7 @@ from .probability import (
     OutputJoints,
     Quantizer,
     _check_integer,
+    _count_text,
     posteriors,
     push_to_clusters,
 )
@@ -74,13 +75,13 @@ class ProblemSpec:
         beta = self.beta
         # exact tests, so float(beta) cannot overflow; repr refuses an int of over 4,300 digits
         if isinstance(beta, bool) or not isinstance(beta, Real) or not 0 < beta <= sys.float_info.max:
-            shown = f"an int of {beta.bit_length()} bits" if isinstance(beta, int) and beta.bit_length() > 64 else repr(beta)
+            shown = _count_text(beta) if isinstance(beta, int) else repr(beta)
             raise OutOfRangeError(f"beta must be a positive finite number, got {shown}")
         object.__setattr__(self, "beta", float(beta))
         _check_integer("num_cells", self.num_cells)
         if self.channel.num_inputs != self.num_cells:
             raise DimensionMismatchError(
-                f"channel has {self.channel.num_inputs} input rows, expected {self.num_cells}"
+                f"channel has {self.channel.num_inputs} input rows, expected {_count_text(self.num_cells)}"
             )
         if self.constraint.kind == "linear" and self.constraint.weights.size != self.num_cells:
             raise DimensionMismatchError(

@@ -46,6 +46,13 @@ def _check_integer(name: str, value) -> None:
         raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
 
 
+def _count_text(value) -> str:
+    """An integer as an error message shows it: past 64 bits by its size, as
+    ``str`` refuses an int of over 4,300 digits."""
+    bits = int(value).bit_length()
+    return f"an int of {bits} bits" if bits > 64 else str(value)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """``a`` itself, made read-only; only for arrays no caller holds."""
     a.setflags(write=False)
@@ -191,7 +198,7 @@ class Quantizer:
             raise OutOfRangeError(f"quantizer kind must be 'hard' or 'soft', got {self.kind!r}")
         _check_integer("num_cells", self.num_cells)
         if self.num_cells < 1:
-            raise DimensionMismatchError(f"num_cells must be >= 1, got {self.num_cells}")
+            raise DimensionMismatchError(f"num_cells must be >= 1, got {_count_text(self.num_cells)}")
         if self.kind == "hard":
             if self.hard_assignment is None or self.soft_assignment is not None:
                 raise DimensionMismatchError("hard quantizer requires hard_assignment only")

@@ -160,22 +160,41 @@ class _Stop(Exception):
 
 
 def first_block_sizes(monkeypatch, solve, spec, calls):
-    """(rows, entries) of the label and cell-joint arrays of ``solve``'s first ``calls`` blocks."""
+    """(rows, entries) of the label, cell-joint, subset-table and gathered arrays
+    of ``solve``'s first blocks, until ``calls`` arrays are recorded."""
     sizes = []
-    label_rows_cells, score_cells = exact._label_rows_cells, exact.score_cells
+    label_rows_cells, subset_table = exact._label_rows_cells, exact._subset_table
+    block_objectives, score_cells = exact._block_objectives, exact.score_cells
+
+    def record(*found):
+        sizes.extend(found)
+        if len(sizes) >= calls:
+            raise _Stop
 
     def built(joint, labels, k):
         cells = label_rows_cells(joint, labels, k)
-        sizes.extend([(len(labels), labels.size), (cells.shape[1], cells.size)])
+        record((len(labels), labels.size), (cells.shape[1], cells.size))
         return cells
 
+    def tabled(head, columns):
+        table = subset_table(head, columns)
+        record((table.shape[1], table.size))
+        return table
+
+    def gathered(spec, table, slot):
+        # over the identity relay the slot gathers the impurities and masses
+        # into arrays of its own shape; any other relay gathers cells for score_cells
+        if spec.channel.is_identity:
+            record((len(slot), slot.size))
+        return block_objectives(spec, table, slot)
+
     def scored(spec, cells):
-        sizes.append((cells.shape[1], cells.size))
-        if len(sizes) >= calls:
-            raise _Stop
+        record((cells.shape[1], cells.size))
         return score_cells(spec, cells)
 
     monkeypatch.setattr(exact, "_label_rows_cells", built)
+    monkeypatch.setattr(exact, "_subset_table", tabled)
+    monkeypatch.setattr(exact, "_block_objectives", gathered)
     monkeypatch.setattr(exact, "score_cells", scored)
     with pytest.raises(_Stop):
         solve(spec)
@@ -379,13 +398,25 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("spec", ORACLE_INSTANCES)
     def test_every_candidate_scores_as_score_cells(self, spec):
         joint, k = spec.joint.entries, spec.num_cells
-        labels = np.array(list(product(range(k), repeat=spec.num_symbols)))
+        n, m = joint.shape
+        labels = np.array(list(product(range(k), repeat=m)))
         cells = exact._label_rows_cells(joint, labels, k)
-        extended = np.zeros((len(joint), 1, k))
-        for column in joint.T:
-            extended = exact._extend(extended, column)
-        np.testing.assert_array_equal(extended, cells)  # both sum in ascending symbol order
+        # each head's subset table holds its candidates' cells: both sum in ascending symbol order
+        for head_symbols in sorted({0, m // 2}):
+            trailing = k ** (m - head_symbols)
+            heads = exact._label_rows_cells(joint[:, :head_symbols], labels[::trailing, :head_symbols], k)
+            slot = exact._subset_slots(k, m - head_symbols)
+            for p in range(heads.shape[1]):
+                table = exact._subset_table(heads[:, p], joint[:, head_symbols:])
+                np.testing.assert_array_equal(
+                    np.take(table, slot, axis=1), cells[:, p * trailing : (p + 1) * trailing]
+                )
         blocked = exact.score_cells(spec, cells)[3]
+        # with no head symbols one table holds every candidate, and its per-cell
+        # scores sum to score_cells' objectives bit for bit
+        table = exact._subset_table(np.zeros((n, k)), joint)
+        tabled = exact._block_objectives(spec, table, exact._subset_slots(k, m))
+        assert [v.hex() for v in tabled.tolist()] == [v.hex() for v in blocked.tolist()]
         expected = np.array([_scored(spec, row) for row in labels])
         if spec.constraint.kind == "linear":
             # masses @ weights is a BLAS gemv here and a dot in score_cells: they may round apart

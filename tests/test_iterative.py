@@ -437,6 +437,12 @@ class TestOptionsValidation:
             with pytest.raises(OutOfRangeError, match="must be an integer"):
                 SolverOptions(**not_an_integer)
 
+    @pytest.mark.parametrize("name", ["max_iterations", "restarts", "seed"])
+    def test_refusing_a_huge_integer_names_its_size(self, name):
+        # str() of an int of over 4,300 digits raises, so the message gives its size
+        with pytest.raises(OutOfRangeError, match=f"^{name} must be .*, got an int of 16610 bits$"):
+            SolverOptions(**{name: -(10**5000)})
+
     def test_init_is_gone(self):
         with pytest.raises(TypeError):
             SolverOptions(init="provided")

@@ -80,6 +80,11 @@ class TestEvaluate:
         with pytest.raises(OutOfRangeError, match="^beta must be a positive finite number, got "):
             make_e1_spec(beta=beta)
 
+    def test_spec_refusing_a_huge_cell_count_names_its_size(self):
+        # str() of an int of over 4,300 digits raises, so the message gives its size
+        with pytest.raises(DimensionMismatchError, match="^channel has 2 input rows, expected an int of 16610 bits$"):
+            make_e1_spec(num_cells=10**5000, channel=ChannelMatrix.identity(2))
+
     def test_spec_stores_beta_as_a_float(self):
         for beta in (2, np.int64(3), np.float64(2.5), 1e308):
             stored = make_e1_spec(beta=beta).beta

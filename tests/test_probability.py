@@ -269,6 +269,8 @@ class TestQuantizer:
         assert Quantizer.hard([0, 1, 2], np.int64(3)).num_cells == 3
         with pytest.raises(DimensionMismatchError, match=r"^num_cells must be >= 1, got 0$"):
             Quantizer.hard([0], 0)
+        with pytest.raises(DimensionMismatchError, match=r"^num_cells must be >= 1, got an int of 16610 bits$"):
+            Quantizer.hard([0], -(10**5000))
 
     def test_rejects_bad_soft_rows(self):
         with pytest.raises(SumNotOneError):

@@ -4,10 +4,13 @@ The instances deliberately leave the interior the other suites use: joint
 entries are small integer counts (so exact zeros and exactly tied posteriors
 are common), the cell count may exceed the symbol count (so cells start and
 stay empty), and the relay may be rank-1 (every cell reaches the same
-outputs, so every distance ties).  The exact solvers must match bruteforce
-on the same instances.  The batch sweep, which computes distances once per
-distinct posterior, must move exactly as a sweep over the raw columns on
-these, on all-tied instances and on smoothed PAM histograms.
+outputs, so every distance ties).  Bruteforce must pick the labels the
+per-candidate oracle picks, ties included (under a linear constraint, to
+within the last bits of the objective), and the exact solvers must match
+bruteforce on the same instances.  The batch sweep, which computes
+distances once per distinct posterior, must move exactly as a sweep over
+the raw columns on these, on all-tied instances and on smoothed PAM
+histograms.
 """
 
 from unittest import mock
@@ -36,11 +39,12 @@ from chanpart import (
     solve_iterative,
     validate_joint,
 )
+from chanpart import exact
 from chanpart.iterative import _distinct_columns, _SweepEngine
 from chanpart.probability import posteriors
 
 from conftest import pam_joint, tied_spec
-from test_exact import oracle_dp
+from test_exact import oracle_bruteforce, oracle_dp
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -159,6 +163,23 @@ def test_the_two_certificates_agree(spec, data):
         for violation in separation.violations:
             assert violation.kind == "distance"
             assert dist[violation.competing_cell, violation.point] == dist[:, violation.point].min()
+
+
+@PROPERTY_SETTINGS
+@given(spec=boundary_instances(max_sources=4).filter(lambda spec: spec.num_cells**spec.num_symbols <= 4**5))
+def test_bruteforce_matches_the_per_candidate_oracle(spec):
+    # the oracle scores one candidate at a time, so it is kept to K^M <= 1024
+    labels, objective = oracle_bruteforce(spec)
+    for block_entries in (exact._BLOCK_ENTRIES, 64):  # 64: many blocks, so first-wins must hold across them
+        with mock.patch.object(exact, "_BLOCK_ENTRIES", block_entries):
+            report = solve_bruteforce(spec)
+        if spec.constraint.kind == "linear":
+            # masses @ weights is a BLAS gemv for a block and a dot for one candidate:
+            # they round apart, so an exact tie may go to another of the tied candidates
+            assert objective <= report.objective <= objective + 1e-12
+        else:
+            assert report.assignment.tolist() == labels
+            assert report.objective.hex() == objective.hex()
 
 
 @PROPERTY_SETTINGS
