@@ -44,7 +44,7 @@ from .errors import (
     NotBinaryError,
     PreconditionViolatedError,
 )
-from .impurity import _column_impurities, constraint_total
+from .impurity import _column_impurities, _mass_log_mass, constraint_total
 from .objective import (
     CERTIFICATE_TOL,
     ProblemSpec,
@@ -117,13 +117,15 @@ def _subset_slots(k: int, low: int) -> np.ndarray:
 def _block_objectives(spec: ProblemSpec, table: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """Objectives of the candidates whose cells are the ``slot`` columns of ``table``,
     in ``score_cells``' arithmetic.  Over the identity relay a cell is its own
-    output, so each table column is scored once and the candidates gather
-    the scores; any other relay gathers the cells for ``score_cells``."""
+    output, so each table column's impurity and entropy-constraint term are
+    computed once and gathered; any other relay gathers the cells for ``score_cells``."""
     if not spec.channel.is_identity:
         return score_cells(spec, np.take(table, slot, axis=1))[3]
     f_values = np.take(_column_impurities(spec.impurity, table), slot).sum(axis=-1)
-    g_values = constraint_total(spec.constraint, np.take(table.sum(axis=0), slot))
-    return spec.beta * f_values + g_values
+    masses = table.sum(axis=0)  # sums of joint entries, so nonnegative
+    if spec.constraint.kind != "entropy":
+        return spec.beta * f_values + constraint_total(spec.constraint, np.take(masses, slot))
+    return spec.beta * f_values - np.take(_mass_log_mass(masses), slot).sum(axis=-1)
 
 
 def solve_bruteforce(spec: ProblemSpec) -> SolveReport:

@@ -146,13 +146,18 @@ def column_gradients(spec: ImpuritySpec, columns) -> np.ndarray:
     return _column_gradients(spec, v)
 
 
-def _column_gradients(spec: ImpuritySpec, columns: np.ndarray) -> np.ndarray:
-    """:func:`column_gradients` of an N x C array already known to be nonnegative."""
-    v = np.maximum(columns, GRADIENT_CLAMP)
-    w = v.sum(axis=0)
+def _column_gradients(spec: ImpuritySpec, columns: np.ndarray, out=None, work=None) -> np.ndarray:
+    """:func:`column_gradients` of a nonnegative N x C array, into ``out`` if given.
+    ``work`` is (N + 1) x C scratch (its first N rows may be ``columns``): the clamped
+    columns, then their sums, so entropy takes one ``log2`` of it all."""
+    work = np.empty((len(columns) + 1, columns.shape[1])) if work is None else work
+    v, w = work[:-1], work[-1]
+    np.maximum(columns, GRADIENT_CLAMP, out=v)
+    np.add.reduce(v, axis=0, out=w)  # np.sum without its Python wrapper
     if spec.kind == "entropy":
-        return np.log2(w[None, :]) - np.log2(v)
-    return 1.0 - 2.0 * v / w[None, :] + ((v * v).sum(axis=0) / (w * w))[None, :]
+        np.log2(work, out=work)
+        return np.subtract(w, v, out=out)
+    return np.add(1.0 - 2.0 * v / w, (v * v).sum(axis=0) / (w * w), out=out)
 
 
 def gradient_bound(spec: ImpuritySpec, num_sources: int) -> float:
@@ -168,13 +173,18 @@ def gradient_bound(spec: ImpuritySpec, num_sources: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _mass_log_mass(m: np.ndarray) -> np.ndarray:
+    """m * log2(m) per entry of a nonnegative array, 0 at 0: minus the entropy constraint."""
+    return m * np.log2(np.where(m > 0.0, m, 1.0))
+
+
 def constraint_total(spec: ConstraintSpec, masses) -> np.ndarray | float:
     """Sum of g_k over the last axis of a (..., K) stack of mass vectors."""
     m = np.maximum(np.asarray(masses, dtype=float), 0.0)
     if spec.kind == "none":
         out = np.zeros(m.shape[:-1])
     elif spec.kind == "entropy":
-        out = -(m * np.log2(np.where(m > 0.0, m, 1.0))).sum(axis=-1)
+        out = -_mass_log_mass(m).sum(axis=-1)
     else:
         if m.shape[-1] != spec.weights.size:
             raise DimensionMismatchError(

@@ -13,7 +13,8 @@ restart wins.
 The sequential sweep is exact yet scans symbols in blocks: the statistics
 change only when a symbol moves, so between two moves every symbol's
 distances can be computed in one block, and the block's decisions up to
-its first move are the ones a symbol-by-symbol visit makes.
+its first move are the ones a symbol-by-symbol visit makes.  A move
+refreshes the statistics in place, in the layout the distance product reads.
 
 A symbol's scaled distances depend only on its posterior column p(X|Y_m),
 so the batch sweep computes them once per distinct posterior and hands
@@ -120,12 +121,15 @@ def _distinct_columns(posteriors: np.ndarray) -> tuple[np.ndarray, np.ndarray | 
 class _SweepEngine:
     """Mutable per-restart statistics.
 
-    Per move, only what the next distance argmin reads is refreshed: the
-    cluster joints (one column subtracted, one added), the cell masses, the
-    channel outputs and their impurity gradients, and the constraint
-    derivatives when they depend on cell mass (the entropy constraint; for
-    ``none`` and ``linear`` they are fixed and computed once per
-    ``rebuild``).  ``rebuild`` re-aggregates the joints exactly and sets
+    Per move, only what the next distance argmin reads is refreshed, in place:
+    two cluster columns (through views), the outputs in the first N rows of the
+    (N + 1) x H ``_work`` buffer, and their gradients in the H x N C-contiguous
+    ``_grads_t`` that ``distances`` reads (``gradients`` is its N x H view), with
+    the bits of ``_column_gradients(impurity, clusters @ channel)``.  The masses
+    (Python floats) and constraint derivatives follow only under the entropy
+    constraint; for ``none`` and ``linear`` they are fixed once per ``rebuild``.
+
+    ``rebuild`` re-aggregates the joints exactly and sets
     ``objective`` and the gradients from one ``score_cells`` call, as
     :func:`evaluate` does; moves leave ``objective`` stale.  It runs at every
     sweep boundary, which also keeps the float dust of the column updates
@@ -160,55 +164,69 @@ class _SweepEngine:
         self.channel = spec.channel.entries
         self.posteriors = posteriors(spec.joint)
         self._mass_dependent_derivs = spec.constraint.kind == "entropy"
+        self._work = np.empty((spec.num_sources + 1, spec.channel.num_outputs))
+        self._outputs = self._work[:-1]
+        self._grads_t = np.empty(self._outputs.shape[::-1])
+        self.gradients = self._grads_t.T
         self.rebuild()
 
     def rebuild(self) -> None:
         self.clusters = cell_joints(self.spec.joint, self.assignment, self.spec.num_cells)
-        self.mass = self.clusters.sum(axis=0)
+        self._columns = list(self.clusters.T)
+        self.mass = self.clusters.sum(axis=0).tolist()
         self.derivs = constraint_derivatives(self.spec.constraint, self.mass)
+        self._offset = self.derivs[:, None]
         outputs, _, _, objective = score_cells(self.spec, self.clusters)
         self.objective = float(objective)
-        self.gradients = _column_gradients(self.spec.impurity, outputs)
+        # over the identity relay the outputs are the clusters: the kernel copies them into _work
+        _column_gradients(self.spec.impurity, outputs, self.gradients, self._work)
 
     def move(self, m: int, target: int) -> None:
         source = int(self.assignment[m])
         u = self.joint[:, m]
-        pm = self.symbol_mass[m]
-        self.clusters[:, source] -= u
-        self.clusters[:, target] += u
-        np.maximum(self.clusters[:, source], 0.0, out=self.clusters[:, source])
-        self.mass[source] = max(self.mass[source] - pm, 0.0)
-        self.mass[target] += pm
+        column, into = self._columns[source], self._columns[target]
+        np.subtract(column, u, out=column)
+        np.add(into, u, out=into)
+        np.maximum(column, 0.0, out=column)
         self.assignment[m] = target
         if self._mass_dependent_derivs:
+            pm = float(self.symbol_mass[m])
+            self.mass[source] = max(self.mass[source] - pm, 0.0)
+            self.mass[target] += pm
             self.derivs = constraint_derivatives(self.spec.constraint, self.mass)
-        # clusters and channel are nonnegative, so the outputs need no check
-        self.gradients = _column_gradients(self.spec.impurity, self.clusters @ self.channel)
+            self._offset = self.derivs[:, None]
+        # clusters @ channel: the same GEMM without matmul's dispatch; both
+        # are nonnegative, so the outputs need no check
+        np.dot(self.clusters, self.channel, out=self._outputs)
+        _column_gradients(self.spec.impurity, self._outputs, self.gradients, self._work)
 
     def distances(self, block, columns=None) -> np.ndarray:
         """K x B scaled distances of the posterior columns in ``block`` at the current
         statistics; the columns are the symbols' own unless ``columns`` is given."""
-        grads_t = np.ascontiguousarray(self.gradients.T)
         cols = (self.posteriors if columns is None else columns)[:, block]
-        return _distances(self.channel, grads_t, cols, self.spec.beta, self.derivs[:, None])
+        return _distances(self.channel, self._grads_t, cols, self.spec.beta, self._offset)
 
     def sweep_sequential(self) -> int:
         """Move each symbol in turn to its nearest cell, scanning spans between moves."""
         assignment = self.assignment
+        distances, move = self.distances, self.move  # instance lookups, so tests can hook them
         total = assignment.size
         changed = 0
         span = self.MIN_SPAN
         m = 0
         while m < total:
             stop = min(m + span, total)
-            nearest = self.distances(slice(m, stop)).argmin(axis=0)
-            moved = nearest != assignment[m:stop]
-            first = int(moved.argmax())
-            if not moved[first]:
-                m = stop
-                span = min(2 * span, self.BLOCK)
-                continue
-            self.move(m + first, int(nearest[first]))
+            nearest = distances(slice(m, stop)).argmin(axis=0)
+            if nearest[0] != assignment[m]:  # most symbols of a first sweep move
+                first = 0
+            else:
+                moved = nearest != assignment[m:stop]
+                first = int(moved.argmax())
+                if not moved[first]:
+                    m = stop
+                    span = min(2 * span, self.BLOCK)
+                    continue
+            move(m + first, int(nearest[first]))
             changed += 1
             m += first + 1
             span = max(span // 2, self.MIN_SPAN)

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chanpart import (
     ChannelMatrix,
@@ -24,8 +26,9 @@ from chanpart import (
     validate_joint,
 )
 from chanpart import iterative
+from chanpart.impurity import _column_gradients
 from chanpart.iterative import _distinct_columns, _SweepEngine
-from chanpart.objective import score_cells
+from chanpart.objective import _distances, score_cells
 from chanpart.probability import posteriors
 
 from conftest import (
@@ -37,6 +40,7 @@ from conftest import (
     random_instance,
     tied_spec,
 )
+from test_properties import PROPERTY_SETTINGS, boundary_instances
 
 
 class TestSolveIterative:
@@ -263,6 +267,47 @@ class TestIncrementalEngine:
             engine.rebuild()
             assert scorer.call_count == 2
             assert engine.objective < first
+
+
+def _check_move_bits(spec: ProblemSpec, rng: np.random.Generator, moves: int) -> None:
+    """After every move the engine's gradients and distances have the bits of a
+    fresh refresh of its own cluster joints, not merely its values."""
+    channel, post = spec.channel.entries, posteriors(spec.joint)
+    engine = _SweepEngine(spec, random_hard_labels(rng, spec))
+    for _ in range(moves):
+        m, target = int(rng.integers(spec.num_symbols)), int(rng.integers(spec.num_cells))
+        if target == engine.assignment[m]:
+            continue
+        engine.move(m, target)
+        fresh = _column_gradients(spec.impurity, engine.clusters @ channel)
+        np.testing.assert_array_equal(_words(engine.gradients), _words(fresh))
+        block = slice(int(rng.integers(spec.num_symbols)), spec.num_symbols)
+        expected = _distances(
+            channel, np.ascontiguousarray(engine.gradients.T), post[:, block], spec.beta, engine.derivs[:, None]
+        )
+        np.testing.assert_array_equal(_words(engine.distances(block)), _words(expected))
+
+
+class TestMoveBits:
+    """Each in-place move refresh keeps the bits of the kernels it stands for."""
+
+    @pytest.mark.parametrize("identity", [True, False], ids=["identity", "noisy"])
+    @pytest.mark.parametrize("constraint", ["none", "entropy", "linear"])
+    @pytest.mark.parametrize("impurity", ["entropy", "gini"])
+    def test_every_move_refreshes_bit_for_bit(self, impurity, constraint, identity):
+        rng = np.random.default_rng(88)
+        for _ in range(6):
+            spec = random_instance(
+                rng, impurity=impurity, constraint=constraint, identity=identity,
+                num_cells=int(rng.integers(2, 5)),
+            )
+            _check_move_bits(spec, rng, 30)
+
+    @PROPERTY_SETTINGS
+    @given(spec=boundary_instances(), seed=st.integers(0, 3))
+    def test_boundary_instances_refresh_bit_for_bit(self, spec, seed):
+        # exact zeros, K > M and cells emptied by the moves
+        _check_move_bits(spec, np.random.default_rng(seed), 20)
 
 
 def _reference_sweep(engine: _SweepEngine) -> int:
