@@ -196,7 +196,8 @@ def constraint_total(spec: ConstraintSpec, masses) -> np.ndarray | float:
 
 def constraint_derivatives(spec: ConstraintSpec, masses) -> np.ndarray:
     """Vector of constraint derivatives, one per cell, with clamping."""
-    m = np.clip(np.asarray(masses, dtype=float), GRADIENT_CLAMP, 1.0)
+    # np.clip's values at a third of its call cost on the two masses of a move
+    m = np.minimum(np.maximum(np.asarray(masses, dtype=float), GRADIENT_CLAMP), 1.0)
     if spec.kind == "none":
         return np.zeros_like(m)
     if spec.kind == "entropy":

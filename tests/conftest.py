@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chanpart import (
     ProblemSpec,
     validate_joint,
 )
+from chanpart import iterative
 from chanpart.impurity import column_impurities
 
 #: The worked 4-point example used throughout the unit tests: uniform p_Y,
@@ -23,6 +25,12 @@ E1_JOINT = [[0.20, 0.15, 0.05, 0.10], [0.05, 0.10, 0.20, 0.15]]
 BETA_CHOICES = (0.1, 1.0, 10.0)
 IMPURITY_CHOICES = ("entropy", "gini")
 CONSTRAINT_CHOICES = ("none", "entropy", "linear")
+
+
+def usable_cpus(count: int):
+    """Context in which ``solve_iterative`` sees ``count`` usable CPUs.  With 1 every
+    restart runs in this process, so hooks on solver methods see every call."""
+    return mock.patch.object(iterative, "_usable_cpus", return_value=count)
 
 
 def make_e1_spec(

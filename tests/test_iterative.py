@@ -1,5 +1,8 @@
 """Local solver: sweeps, monotonicity, restarts, determinism."""
 
+import os
+import threading
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -26,8 +29,10 @@ from chanpart import (
     validate_joint,
 )
 from chanpart import iterative
-from chanpart.impurity import _column_gradients
-from chanpart.iterative import _distinct_columns, _SweepEngine
+from chanpart.cli import _dump, report_document
+from chanpart.errors import ZeroColumnError
+from chanpart.impurity import _column_gradients, constraint_derivatives
+from chanpart.iterative import FORK_MIN_SYMBOLS, SWEEP_MODES, _distinct_columns, _SweepEngine
 from chanpart.objective import _distances, score_cells
 from chanpart.probability import posteriors
 
@@ -39,6 +44,7 @@ from conftest import (
     random_hard_labels,
     random_instance,
     tied_spec,
+    usable_cpus,
 )
 from test_properties import PROPERTY_SETTINGS, boundary_instances
 
@@ -170,6 +176,18 @@ class TestSolveIterative:
         assert len(trace) == 4 and trace[2] > trace[1]
         assert trace[-1] == trace[1] == report.objective
 
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_an_idle_sweep_is_not_rebuilt(self, e1_spec, mode):
+        rebuilt = mock.patch.object(_SweepEngine, "rebuild", autospec=True, side_effect=_SweepEngine.rebuild)
+        with rebuilt as rebuild:
+            fixed = solve_iterative(e1_spec, SolverOptions(initial_assignment=[0, 0, 1, 1], sweep_mode=mode))
+            assert rebuild.call_count == 1  # the start's
+            crossed = solve_iterative(e1_spec, SolverOptions(initial_assignment=[0, 1, 0, 1]))
+            # one rebuild at the start and one after the moving sweep, none after the idle one
+            assert crossed.iterations_used == (2,) and rebuild.call_count == 3
+        assert fixed.objective_trace == (fixed.objective,) * 2
+        assert crossed.objective_trace[-1] == crossed.objective_trace[-2] == crossed.objective
+
     def test_surplus_cells_stay_empty(self):
         spec = make_e1_spec(num_cells=6, channel=None)
         report = solve_iterative(spec, SolverOptions(seed=2, restarts=4))
@@ -281,6 +299,9 @@ def _check_move_bits(spec: ProblemSpec, rng: np.random.Generator, moves: int) ->
         engine.move(m, target)
         fresh = _column_gradients(spec.impurity, engine.clusters @ channel)
         np.testing.assert_array_equal(_words(engine.gradients), _words(fresh))
+        # the move refreshes two derivatives; they keep the bits of the whole vector's
+        whole = constraint_derivatives(spec.constraint, engine.mass)
+        np.testing.assert_array_equal(_words(engine.derivs), _words(whole))
         block = slice(int(rng.integers(spec.num_symbols)), spec.num_symbols)
         expected = _distances(
             channel, np.ascontiguousarray(engine.gradients.T), post[:, block], spec.beta, engine.derivs[:, None]
@@ -531,3 +552,109 @@ class TestOptionsValidation:
         # stored as the tuple of its characters, which are not integer labels
         with pytest.raises(IndexOutOfRangeError, match="integer cell labels"):
             solve_iterative(e1_spec, SolverOptions(initial_assignment="0101"))
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _fork_instance(seed: int, constraint: str = "none", identity: bool = False, num_symbols: int = FORK_MIN_SYMBOLS):
+    rng = np.random.default_rng(seed)
+    return random_instance(rng, constraint=constraint, identity=identity, num_symbols=num_symbols,
+                           num_cells=int(rng.integers(2, 5)))
+
+
+class TestForkedRestarts:
+    """Restarts run in forked workers give the one-core report, byte for byte, and
+    leave no process behind."""
+
+    @pytest.mark.parametrize("identity", [True, False], ids=["identity", "noisy"])
+    @pytest.mark.parametrize("constraint", ["none", "entropy", "linear"])
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_forked_reports_are_the_serial_bytes(self, mode, constraint, identity):
+        spec = _fork_instance(21, constraint, identity)
+        for restarts in range(1, 6):
+            opts = SolverOptions(seed=restarts, restarts=restarts, sweep_mode=mode)
+            with usable_cpus(1):
+                serial = _dump(report_document(spec, solve_iterative(spec, opts)))
+            with usable_cpus(3), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                forked = _dump(report_document(spec, solve_iterative(spec, opts)))
+            assert fork.call_count == min(restarts, 3) - 1
+            assert forked == serial
+        assert _no_child_left()
+
+    @staticmethod
+    def _in_workers(behaviour):
+        """Patch ``_run_restart`` so that forked workers call ``behaviour()`` instead,
+        and this process ``_run_restart`` itself."""
+        parent, run = os.getpid(), iterative._run_restart
+
+        def patched(*args):
+            return run(*args) if os.getpid() == parent else behaviour()
+
+        return mock.patch.object(iterative, "_run_restart", patched)
+
+    def test_a_failing_worker_raises_its_exception_here(self):
+        def failing():
+            raise ZeroColumnError("in a worker")
+
+        with usable_cpus(2), self._in_workers(failing):
+            with pytest.raises(ZeroColumnError, match="in a worker"):
+                solve_iterative(_fork_instance(1), SolverOptions(restarts=4))
+        assert _no_child_left()
+
+    def test_an_unpicklable_worker_exception_arrives_as_its_repr(self):
+        class LocalError(Exception):
+            pass
+
+        def failing():
+            raise LocalError("not importable")
+
+        with usable_cpus(3), self._in_workers(failing):
+            with pytest.raises(RuntimeError, match="LocalError.*not importable"):
+                solve_iterative(_fork_instance(2), SolverOptions(restarts=3))
+        assert _no_child_left()
+
+    def test_a_worker_that_dies_without_a_result_is_an_error(self):
+        with usable_cpus(2), self._in_workers(lambda: os._exit(3)):
+            with pytest.raises(RuntimeError, match="without a result"):
+                solve_iterative(_fork_instance(3), SolverOptions(restarts=2))
+        assert _no_child_left()
+
+    def test_a_failing_parent_chunk_kills_and_reaps_the_workers(self):
+        parent = os.getpid()
+
+        def failing_while_workers_hang(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ZeroColumnError("in the parent")
+
+        started = time.monotonic()
+        with usable_cpus(3), mock.patch.object(iterative, "_run_restart", failing_while_workers_hang):
+            with pytest.raises(ZeroColumnError, match="in the parent"):
+                solve_iterative(_fork_instance(4), SolverOptions(restarts=6))
+        assert time.monotonic() - started < 30  # the workers were killed, not awaited
+        assert _no_child_left()
+
+    def test_nothing_forks_below_the_gate(self):
+        big, small = _fork_instance(5), _fork_instance(5, num_symbols=FORK_MIN_SYMBOLS - 1)
+        release = threading.Event()
+        with usable_cpus(4), mock.patch.object(os, "fork") as fork:
+            solve_iterative(small, SolverOptions(restarts=5))
+            solve_iterative(big, SolverOptions(restarts=1))
+            solve_iterative(big, SolverOptions(initial_assignment=[0] * big.num_symbols))
+            other = threading.Thread(target=release.wait)
+            other.start()
+            try:
+                solve_iterative(big, SolverOptions(restarts=5))
+            finally:
+                release.set()
+                other.join(timeout=10)
+            assert not other.is_alive()
+            with usable_cpus(1):
+                solve_iterative(big, SolverOptions(restarts=5))
+        fork.assert_not_called()

@@ -43,7 +43,7 @@ from chanpart import exact
 from chanpart.iterative import _distinct_columns, _SweepEngine
 from chanpart.probability import posteriors
 
-from conftest import pam_joint, tied_spec
+from conftest import pam_joint, tied_spec, usable_cpus
 from test_exact import oracle_bruteforce, oracle_dp
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -133,8 +133,18 @@ def test_sequential_moves_never_raise_the_objective(spec, seed):
         original_move(engine, m, target)
         moves.append((before, engine.assignment.copy()))
 
-    with mock.patch.object(_SweepEngine, "move", recording_move):
-        solve_iterative(spec, SolverOptions(seed=seed, restarts=2))
+    sweeps = []
+    original_sweep = _SweepEngine.sweep_sequential
+
+    def counting_sweep(engine):
+        sweeps.append(1)
+        return original_sweep(engine)
+
+    with usable_cpus(1), mock.patch.object(_SweepEngine, "move", recording_move), \
+            mock.patch.object(_SweepEngine, "sweep_sequential", counting_sweep):
+        report = solve_iterative(spec, SolverOptions(seed=seed, restarts=2))
+    # no restart ran out of sight of the hooks
+    assert len(sweeps) == sum(report.iterations_used)
     for before, after in moves:
         assert _fresh_objective(spec, after) <= _fresh_objective(spec, before) + 1e-12
 
