@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,16 @@ SWEEP_MODES = ("sequential", "batch")
 #: objective or cycles.
 CONVERGENCE_TOL = 1e-12
 
-#: Fewest symbols at which :func:`solve_iterative` forks restart workers.  On a
-#: 2-vCPU Xeon with one BLAS thread, a fork and the return of its results took
-#: 2.0-2.3 ms, and a forked two-restart solve at N=4, K=H=8 took 1.00 of the
-#: one-core time at M=128, 0.95 at M=192, 0.81 at M=256 and 0.55 at M=2000.
+#: :func:`solve_iterative` forks restart workers only for instances of at
+#: least ``FORK_MIN_SYMBOLS`` symbols and ``FORK_MIN_WORK`` symbol-cells (M * K),
+#: as a restart costs more with both.  On a 2-vCPU Xeon with one BLAS thread, a
+#: fork and the return of its results took 2.0-2.3 ms, and a forked
+#: two-restart solve (noisy relay, N=2, 21 alternating runs) took this share
+#: of the one-core time: K=2: 0.94-1.07 at M=512, 0.80 at M=1024; K=4: 1.18 at
+#: M=128, 0.89 at M=256, 0.82 at M=512; K=8: 1.11-1.24 at M=128, 1.01 at
+#: M=192, 0.86 at M=256; K=16: 1.08 at M=128, 0.94 at M=256.
 FORK_MIN_SYMBOLS = 256
+FORK_MIN_WORK = 2048
 
 
 @dataclass(frozen=True)
@@ -345,17 +351,49 @@ def _restart_worker(read: int, write: int, spec: ProblemSpec, starts, opts: Solv
         os._exit(0)
 
 
+def _fork_worker(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
+    """``(pid, read end of its pipe)`` of a forked child that runs ``starts``, or
+    None when the system grants no pipe or process."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns, in this process after the child exists, when
+            # other OS threads (a BLAS pool) run; an error filter would lose the child
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException as exc:
+        os.close(read)
+        os.close(write)
+        if isinstance(exc, OSError):
+            return None
+        raise
+    if pid == 0:
+        _restart_worker(read, write, spec, starts, opts, distinct)
+    os.close(write)
+    return pid, read
+
+
 def _restart_results(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
     """``(sweeps, trace, assignment)`` of each start, in start order.
 
-    With at least two starts, ``FORK_MIN_SYMBOLS`` symbols, one Python thread
-    and W >= 2 usable CPUs, the starts split into W contiguous chunks: this
-    process runs the first and a forked child each other one.  A child's
-    exception is raised here; every child is reaped before this returns or
-    raises, and killed first if this process fails.
+    With at least two starts, an instance past the ``FORK_MIN_SYMBOLS`` and
+    ``FORK_MIN_WORK`` gate, one Python thread and W >= 2 usable CPUs, the
+    starts split into W contiguous chunks: this process runs the first and a
+    forked child each other one.  A chunk whose child cannot be forked runs
+    here, after the children's.  A child's exception is raised here; every
+    child is reaped before this returns or raises, and killed first if this
+    process fails.
     """
     workers = 1
-    if len(starts) >= 2 and spec.num_symbols >= FORK_MIN_SYMBOLS and threading.active_count() == 1:
+    if (
+        len(starts) >= 2
+        and spec.num_symbols >= FORK_MIN_SYMBOLS
+        and spec.num_symbols * spec.num_cells >= FORK_MIN_WORK
+        and threading.active_count() == 1
+    ):
         workers = min(len(starts), _usable_cpus())
     if workers < 2:
         for start in starts:
@@ -369,17 +407,10 @@ def _restart_results(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
     children = []  # (pid, read end of the pipe it writes its results to)
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _restart_worker(read, write, spec, starts[lo:hi], opts, distinct)
-            os.close(write)
-            children.append((pid, read))
+            child = _fork_worker(spec, starts[lo:hi], opts, distinct)
+            if child is None:
+                break
+            children.append(child)
         for start in starts[:bounds[1]]:
             yield _run_restart(spec, start, opts, distinct)
         for pid, read in children:
@@ -391,6 +422,8 @@ def _restart_results(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
             if not ok:
                 raise value
             yield from value
+        for start in starts[bounds[len(children) + 1]:]:
+            yield _run_restart(spec, start, opts, distinct)
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -412,10 +445,13 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
     objective wins (ties keep the earliest restart).  Identical spec and
     options give a bit-identical report.
 
-    On Linux, random restarts of an instance with at least
-    ``FORK_MIN_SYMBOLS`` symbols run on every CPU this process may use, in
-    forked worker processes, when no other Python thread is running.  The
-    report is the same bytes as a one-core run, and there is no setting for it.
+    On Linux, random restarts of an instance past the ``FORK_MIN_SYMBOLS``
+    and ``FORK_MIN_WORK`` gate run on every CPU this process may use, in
+    forked worker processes, when no other Python thread is running; a
+    restart whose worker cannot be forked runs here.  The report is the same
+    bytes as a one-core run, and there is no setting for it.  Only idle CPUs
+    make it faster: the workers' CPU time and memory come on top of this
+    process's.
     """
     opts = options or SolverOptions()
     if opts.initial_assignment is not None:

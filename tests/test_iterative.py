@@ -3,6 +3,7 @@
 import os
 import threading
 import time
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -32,7 +33,7 @@ from chanpart import iterative
 from chanpart.cli import _dump, report_document
 from chanpart.errors import ZeroColumnError
 from chanpart.impurity import _column_gradients, constraint_derivatives
-from chanpart.iterative import FORK_MIN_SYMBOLS, SWEEP_MODES, _distinct_columns, _SweepEngine
+from chanpart.iterative import FORK_MIN_SYMBOLS, FORK_MIN_WORK, SWEEP_MODES, _distinct_columns, _SweepEngine
 from chanpart.objective import _distances, score_cells
 from chanpart.probability import posteriors
 
@@ -562,10 +563,19 @@ def _no_child_left() -> bool:
     return False
 
 
-def _fork_instance(seed: int, constraint: str = "none", identity: bool = False, num_symbols: int = FORK_MIN_SYMBOLS):
+def _fork_instance(seed: int, constraint: str = "none", identity: bool = False, num_symbols: int | None = None):
+    """A random instance at the fork gate: the fewest symbols that pass it, unless given."""
     rng = np.random.default_rng(seed)
+    num_cells = int(rng.integers(2, 5))
+    if num_symbols is None:
+        num_symbols = max(FORK_MIN_SYMBOLS, -(-FORK_MIN_WORK // num_cells))
     return random_instance(rng, constraint=constraint, identity=identity, num_symbols=num_symbols,
-                           num_cells=int(rng.integers(2, 5)))
+                           num_cells=num_cells)
+
+
+def _serial_bytes(spec, opts) -> bytes:
+    with usable_cpus(1):
+        return _dump(report_document(spec, solve_iterative(spec, opts)))
 
 
 class TestForkedRestarts:
@@ -579,8 +589,7 @@ class TestForkedRestarts:
         spec = _fork_instance(21, constraint, identity)
         for restarts in range(1, 6):
             opts = SolverOptions(seed=restarts, restarts=restarts, sweep_mode=mode)
-            with usable_cpus(1):
-                serial = _dump(report_document(spec, solve_iterative(spec, opts)))
+            serial = _serial_bytes(spec, opts)
             with usable_cpus(3), mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 forked = _dump(report_document(spec, solve_iterative(spec, opts)))
             assert fork.call_count == min(restarts, 3) - 1
@@ -640,11 +649,60 @@ class TestForkedRestarts:
         assert time.monotonic() - started < 30  # the workers were killed, not awaited
         assert _no_child_left()
 
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_a_fork_or_pipe_the_system_refuses_runs_here(self, failing):
+        """The chunk of a worker that cannot be forked, and each after it, runs in
+        this process: the report keeps its bytes and no child is left."""
+        spec = _fork_instance(6)
+        opts = SolverOptions(seed=6, restarts=5)
+        serial = _serial_bytes(spec, opts)
+        real_fork, calls = os.fork, []
+
+        def fork():
+            calls.append(None)
+            if len(calls) == failing:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        with usable_cpus(3), mock.patch.object(os, "fork", fork):
+            assert _dump(report_document(spec, solve_iterative(spec, opts))) == serial
+        assert len(calls) == failing
+        assert _no_child_left()
+        with usable_cpus(3), mock.patch.object(os, "pipe", side_effect=OSError(24, "Too many open files")):
+            assert _dump(report_document(spec, solve_iterative(spec, opts))) == serial
+        assert _no_child_left()
+
+    def test_a_warning_after_the_fork_loses_no_child(self):
+        """Python >= 3.12 warns in the parent, once the child exists, when other OS
+        threads run; under an error filter that must neither raise nor orphan it."""
+        spec = _fork_instance(7)
+        opts = SolverOptions(seed=7, restarts=2)
+        serial = _serial_bytes(spec, opts)
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        with usable_cpus(2), mock.patch.object(os, "fork", fork), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _dump(report_document(spec, solve_iterative(spec, opts))) == serial
+        assert _no_child_left()
+
     def test_nothing_forks_below_the_gate(self):
-        big, small = _fork_instance(5), _fork_instance(5, num_symbols=FORK_MIN_SYMBOLS - 1)
+        big = _fork_instance(5)
+        little_work = _fork_instance(5, num_symbols=FORK_MIN_WORK // big.num_cells - 1)
+        few_symbols = random_instance(np.random.default_rng(5), num_symbols=FORK_MIN_SYMBOLS - 1,
+                                      num_cells=-(-FORK_MIN_WORK // (FORK_MIN_SYMBOLS - 1)))
+        assert little_work.num_symbols >= FORK_MIN_SYMBOLS
+        assert few_symbols.num_symbols * few_symbols.num_cells >= FORK_MIN_WORK
         release = threading.Event()
         with usable_cpus(4), mock.patch.object(os, "fork") as fork:
-            solve_iterative(small, SolverOptions(restarts=5))
+            solve_iterative(little_work, SolverOptions(restarts=5))
+            solve_iterative(few_symbols, SolverOptions(restarts=5))
             solve_iterative(big, SolverOptions(restarts=1))
             solve_iterative(big, SolverOptions(initial_assignment=[0] * big.num_symbols))
             other = threading.Thread(target=release.wait)
