@@ -20,8 +20,9 @@ ascending symbol order as ``cell_joints`` does, so a candidate's objective
 has the bits of the report's own arithmetic (under a linear constraint it
 may differ in the last bits: a block's masses meet the weights in one
 matrix product).  The thresholds call ``score_cells`` on each block.
-Bruteforce builds a block's distinct cells once, in a subset table, and over
-the identity relay scores each of them once, in ``score_cells``' arithmetic.
+Bruteforce builds and scores the distinct cells of a group of blocks once,
+in a subset table; a block's gather, noisy-relay push and argmin stay per
+block.  Every route sums a candidate's K cell scores in ``_short_sum``.
 Ties go to the first candidate in enumeration order.  The DP scores each
 interval once, through ``score_cells`` as well, as a candidate of one cell.
 
@@ -44,11 +45,12 @@ from .errors import (
     NotBinaryError,
     PreconditionViolatedError,
 )
-from .impurity import _column_impurities, _mass_log_mass, constraint_total
+from .impurity import _column_impurities, _mass_log_mass, _short_sum, constraint_total
 from .objective import (
     CERTIFICATE_TOL,
     ProblemSpec,
     SolveReport,
+    _cell_impurities,
     _check_fits,
     _own_and_best,
     certified_report,
@@ -88,19 +90,19 @@ def _label_rows_cells(joint: np.ndarray, labels: np.ndarray, k: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _subset_table(head: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """The N x K cells ``head`` plus every subset of the N x S ``columns``.
+def _subset_table(heads: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The N x P x K cells of P ``heads`` plus every subset of the N x S ``columns``.
 
-    Column b * K + d of the N x 2^S K result is cell d plus the columns in
-    bitmask b (bit j: column j), added in ascending order as ``cell_joints``
-    adds a cell's symbols.
+    Column b * K + d of head p's N x 2^S K slice of the N x P x 2^S K result is
+    its cell d plus the columns in bitmask b (bit j: column j), added in
+    ascending order as ``cell_joints`` adds a cell's symbols.
     """
-    n, s = columns.shape
-    table = np.empty((n, 2**s, head.shape[1]))
-    table[:, 0] = head
+    (n, p, k), s = heads.shape, columns.shape[1]
+    table = np.empty((n, p, 2**s, k))
+    table[:, :, 0] = heads
     for j in range(s):  # the subsets with bit j add column j to those without
-        np.add(table[:, : 2**j], columns[:, j, None, None], out=table[:, 2**j : 2 ** (j + 1)])
-    return table.reshape(n, -1)
+        np.add(table[:, :, : 2**j], columns[:, j, None, None, None], out=table[:, :, 2**j : 2 ** (j + 1)])
+    return table.reshape(n, p, -1)
 
 
 def _subset_slots(k: int, low: int) -> np.ndarray:
@@ -114,18 +116,27 @@ def _subset_slots(k: int, low: int) -> np.ndarray:
     return slot
 
 
-def _block_objectives(spec: ProblemSpec, table: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """Objectives of the candidates whose cells are the ``slot`` columns of ``table``,
-    in ``score_cells``' arithmetic.  Over the identity relay a cell is its own
-    output, so each table column's impurity and entropy-constraint term are
-    computed once and gathered; any other relay gathers the cells for ``score_cells``."""
-    if not spec.channel.is_identity:
-        return score_cells(spec, np.take(table, slot, axis=1))[3]
-    f_values = np.take(_column_impurities(spec.impurity, table), slot).sum(axis=-1)
+def _group_objectives(spec: ProblemSpec, table: np.ndarray, slot: np.ndarray):
+    """Objectives of each head p's candidates, whose cells are the ``slot`` columns
+    of ``table[:, p]``, in ``score_cells``' arithmetic.  A table column's mass
+    and constraint term, and over the identity relay (a cell is its own output)
+    its impurity, are computed once per group; a noisy relay pushes each head's."""
+    n, kind = len(table), spec.constraint.kind
     masses = table.sum(axis=0)  # sums of joint entries, so nonnegative
-    if spec.constraint.kind != "entropy":
-        return spec.beta * f_values + constraint_total(spec.constraint, np.take(masses, slot))
-    return spec.beta * f_values - np.take(_mass_log_mass(masses), slot).sum(axis=-1)
+    terms = _mass_log_mass(masses) if kind == "entropy" else masses  # each cell's G input
+    if spec.channel.is_identity:
+        impurities = _column_impurities(spec.impurity, table.reshape(n, -1)).reshape(masses.shape)
+    for p in range(len(masses)):
+        if spec.channel.is_identity:
+            f_values = spec.beta * _short_sum(impurities[p].take(slot))
+        else:
+            f_values = spec.beta * _cell_impurities(spec, table[:, p].take(slot, axis=1))[1]
+        if kind == "entropy":
+            yield f_values - _short_sum(terms[p].take(slot))
+        elif kind == "linear":  # C x K masses meet the weights in one gemv, as in score_cells
+            yield f_values + constraint_total(spec.constraint, terms[p].take(slot))
+        else:  # G = 0.0, and adding it changes no bit: a sum from 0.0 is never -0.0
+            yield f_values
 
 
 def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
@@ -135,34 +146,35 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
     head of leading labels: the heads' cell joints are built a group at a
     time.  A block's candidates differ only in where its trailing symbols
     go, so their cells are K * 2^low distinct sums, the head's cells plus
-    each subset of the trailing symbols; one subset table per block holds
-    them, and :func:`_block_objectives` scores the block from it.  The
-    winner is the first assignment in that order whose objective, in the
-    report's arithmetic, is the smallest.  Refuses more than 2**22
-    assignments.
+    each subset of the trailing symbols: one subset table holds them for a
+    group of heads, and :func:`_group_objectives` scores each of its columns
+    once; a head's gather (and noisy-relay push) and argmin stay per head.
+    The winner is the first assignment in that order whose objective, in the
+    report's arithmetic, is the smallest.  Refuses more than 2**22 assignments.
     """
-    m, k = spec.num_symbols, spec.num_cells
+    m, k, n = spec.num_symbols, spec.num_cells, spec.num_sources
     _check_budget(k**m, f"{k}^{m} assignments")
     joint = spec.joint.entries
-    width = spec.num_sources * max(k, spec.channel.num_outputs)
+    width = n * max(k, spec.channel.num_outputs)
     low = 1  # trailing symbols enumerated inside a block
     while k > 1 and low < m and width * k ** (low + 1) < _BLOCK_ENTRIES:
         low += 1
     powers = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
     prefixes = k ** (m - low)
     group = max(1, (_BLOCK_ENTRIES - 1) // width)  # heads whose cell joints are built at once
+    tabled = max(1, (_BLOCK_ENTRIES - 1) // (n * 2**low * k))  # heads per subset table
     slot = _subset_slots(k, low)
 
     best_obj, best_index = math.inf, None
     for first in range(0, prefixes, group):
         heads = np.arange(first, min(first + group, prefixes))[:, None] // powers[low:] % k
         head_cells = _label_rows_cells(joint[:, : m - low], heads, k)
-        for p in range(len(heads)):
-            table = _subset_table(head_cells[:, p], joint[:, m - low :])
-            objs = _block_objectives(spec, table, slot)
-            pick = int(np.argmin(objs))
-            if best_index is None or objs[pick] < best_obj:
-                best_obj, best_index = objs[pick], (first + p) * k**low + pick
+        for lo in range(0, len(heads), tabled):
+            table = _subset_table(head_cells[:, lo : lo + tabled], joint[:, m - low :])
+            for head, objs in enumerate(_group_objectives(spec, table, slot), first + lo):
+                pick = int(objs.argmin())
+                if best_index is None or objs[pick] < best_obj:
+                    best_obj, best_index = objs[pick], head * k**low + pick
 
     return certified_report(spec, best_index // powers % k, "bruteforce")
 

@@ -119,6 +119,17 @@ def column_impurities(spec: ImpuritySpec, columns) -> np.ndarray:
     return _column_impurities(spec, v[:, None] if v.ndim == 1 else v)
 
 
+def _short_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=-1)`` bit for bit: below 8 terms numpy adds left to right
+    onto 0.0, as these column adds do without numpy's per-row reduction loop."""
+    if not 0 < terms.shape[-1] < 8:
+        return terms.sum(axis=-1)
+    out = terms[..., 0] + 0.0  # 0.0 + -0.0 is 0.0, as numpy's start
+    for j in range(1, terms.shape[-1]):
+        out += terms[..., j]
+    return out
+
+
 def _column_impurities(spec: ImpuritySpec, v: np.ndarray) -> np.ndarray:
     """:func:`column_impurities` of an N x C array already known to be nonnegative."""
     w = v.sum(axis=0)
@@ -184,7 +195,7 @@ def constraint_total(spec: ConstraintSpec, masses) -> np.ndarray | float:
     if spec.kind == "none":
         out = np.zeros(m.shape[:-1])
     elif spec.kind == "entropy":
-        out = -_mass_log_mass(m).sum(axis=-1)
+        out = -_short_sum(_mass_log_mass(m))
     else:
         if m.shape[-1] != spec.weights.size:
             raise DimensionMismatchError(

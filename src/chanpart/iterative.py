@@ -31,7 +31,9 @@ from __future__ import annotations
 import os
 import threading
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -384,8 +386,8 @@ def _restart_results(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
     starts split into W contiguous chunks: this process runs the first and a
     forked child each other one.  A chunk whose child cannot be forked runs
     here, after the children's.  A child's exception is raised here; every
-    child is reaped before this returns or raises, and killed first if this
-    process fails.
+    child is reaped when this returns, raises or is closed, and killed first
+    if this fails before its results are read.
     """
     workers = 1
     if (
@@ -405,6 +407,7 @@ def _restart_results(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
 
     bounds = [len(starts) * w // workers for w in range(workers + 1)]
     children = []  # (pid, read end of the pipe it writes its results to)
+    settled = 0  # children whose results are read: they have nothing left to do
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             child = _fork_worker(spec, starts[lo:hi], opts, distinct)
@@ -416,6 +419,7 @@ def _restart_results(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
         for pid, read in children:
             with os.fdopen(read, "rb", closefd=False) as stream:
                 payload = stream.read()
+            settled += 1
             if not payload:
                 raise RuntimeError(f"restart worker {pid} ended without a result")
             ok, value = pickle.loads(payload)
@@ -425,7 +429,7 @@ def _restart_results(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
         for start in starts[bounds[len(children) + 1]:]:
             yield _run_restart(spec, start, opts, distinct)
     except BaseException:
-        for pid, _ in children:
+        for pid, _ in children[settled:]:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
@@ -467,9 +471,10 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
     distinct = _distinct_columns(posteriors(spec.joint)) if opts.sweep_mode == "batch" else None
     iterations: list[int] = []
     best = None  # (assignment, trace)
-    for sweeps, trace, assignment in _restart_results(spec, starts, opts, distinct):
-        iterations.append(sweeps)
-        if best is None or trace[-1] < best[1][-1]:
-            best = (assignment, trace)
-
-    return certified_report(spec, best[0], "iterative", tuple(iterations), tuple(best[1]))
+    # closing the results reaps their workers: after the certificate, so they exit meanwhile
+    with closing(_restart_results(spec, starts, opts, distinct)) as results:
+        for sweeps, trace, assignment in islice(results, len(starts)):
+            iterations.append(sweeps)
+            if best is None or trace[-1] < best[1][-1]:
+                best = (assignment, trace)
+        return certified_report(spec, best[0], "iterative", tuple(iterations), tuple(best[1]))

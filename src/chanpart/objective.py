@@ -40,6 +40,7 @@ from .impurity import (
     ConstraintSpec,
     ImpuritySpec,
     _column_impurities,
+    _short_sum,
     column_gradients,
     constraint_derivatives,
     constraint_total,
@@ -144,13 +145,18 @@ def score_cells(spec: ProblemSpec, cells: np.ndarray) -> tuple:
     linear constraint its G may differ in the last bits, as C masses meet
     the weights in one matrix product.
     """
+    outputs, f_values = _cell_impurities(spec, cells)
+    g_values = constraint_total(spec.constraint, cells.sum(axis=0))
+    return outputs, f_values, g_values, spec.beta * f_values + g_values
+
+
+def _cell_impurities(spec: ProblemSpec, cells: np.ndarray) -> tuple:
+    """``(outputs, F)`` of cell joints, as :func:`score_cells` computes them."""
     # multiplying by the identity is exact
     outputs = cells if spec.channel.is_identity else cells @ spec.channel.entries
     # sums of nonnegative joint entries through a nonnegative relay need no check
     impurities = _column_impurities(spec.impurity, outputs.reshape(len(outputs), -1))
-    f_values = impurities.reshape(outputs.shape[1:]).sum(axis=-1)
-    g_values = constraint_total(spec.constraint, cells.sum(axis=0))
-    return outputs, f_values, g_values, spec.beta * f_values + g_values
+    return outputs, _short_sum(impurities.reshape(outputs.shape[1:]))
 
 
 def _check_fits(spec: ProblemSpec, quantizer: Quantizer) -> None:

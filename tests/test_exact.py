@@ -160,11 +160,12 @@ class _Stop(Exception):
 
 
 def first_block_sizes(monkeypatch, solve, spec, calls):
-    """(rows, entries) of the label, cell-joint, subset-table and gathered arrays
-    of ``solve``'s first blocks, until ``calls`` arrays are recorded."""
+    """(rows, entries) of the label, cell-joint, subset-table, gathered and pushed
+    arrays of ``solve``'s first blocks, until ``calls`` arrays are recorded."""
     sizes = []
     label_rows_cells, subset_table = exact._label_rows_cells, exact._subset_table
-    block_objectives, score_cells = exact._block_objectives, exact.score_cells
+    group_objectives, cell_impurities = exact._group_objectives, exact._cell_impurities
+    score_cells = exact.score_cells
 
     def record(*found):
         sizes.extend(found)
@@ -176,17 +177,24 @@ def first_block_sizes(monkeypatch, solve, spec, calls):
         record((len(labels), labels.size), (cells.shape[1], cells.size))
         return cells
 
-    def tabled(head, columns):
-        table = subset_table(head, columns)
+    def tabled(heads, columns):
+        table = subset_table(heads, columns)
+        # a group's masses, constraint terms and identity-relay impurities
+        # are one entry per table column, N times fewer than the table's
         record((table.shape[1], table.size))
         return table
 
-    def gathered(spec, table, slot):
-        # over the identity relay the slot gathers the impurities and masses
-        # into arrays of its own shape; any other relay gathers cells for score_cells
-        if spec.channel.is_identity:
+    def grouped(spec, table, slot):
+        # each head gathers arrays of the slot's shape
+        for objs in group_objectives(spec, table, slot):
             record((len(slot), slot.size))
-        return block_objectives(spec, table, slot)
+            yield objs
+
+    def pushed(spec, cells):
+        # a noisy relay pushes each head's gathered cells
+        outputs, f_values = cell_impurities(spec, cells)
+        record((cells.shape[1], cells.size), (outputs.shape[1], outputs.size))
+        return outputs, f_values
 
     def scored(spec, cells):
         record((cells.shape[1], cells.size))
@@ -194,7 +202,8 @@ def first_block_sizes(monkeypatch, solve, spec, calls):
 
     monkeypatch.setattr(exact, "_label_rows_cells", built)
     monkeypatch.setattr(exact, "_subset_table", tabled)
-    monkeypatch.setattr(exact, "_block_objectives", gathered)
+    monkeypatch.setattr(exact, "_group_objectives", grouped)
+    monkeypatch.setattr(exact, "_cell_impurities", pushed)
     monkeypatch.setattr(exact, "score_cells", scored)
     with pytest.raises(_Stop):
         solve(spec)
@@ -266,6 +275,17 @@ class TestBruteforce:
             beta=1.0,
         )
         sizes = first_block_sizes(monkeypatch, solve_bruteforce, spec, calls=300)
+        assert max(entries for _, entries in sizes) < exact._BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("identity", [True, False], ids=["identity", "noisy"])
+    @pytest.mark.parametrize("k, m", [(2, 16), (3, 11), (4, 9)])
+    def test_grouped_tables_stay_small(self, k, m, identity, monkeypatch):
+        # the compare-desk sizes: a subset table holds as many heads as fit
+        rng = np.random.default_rng(80)
+        spec = random_instance(
+            rng, binary=True, identity=identity, constraint="entropy", num_symbols=m, num_cells=k
+        )
+        sizes = first_block_sizes(monkeypatch, solve_bruteforce, spec, calls=40)
         assert max(entries for _, entries in sizes) < exact._BLOCK_ENTRIES
 
     def test_size_guard(self):
@@ -401,22 +421,25 @@ class TestOracleAgreement:
         n, m = joint.shape
         labels = np.array(list(product(range(k), repeat=m)))
         cells = exact._label_rows_cells(joint, labels, k)
-        # each head's subset table holds its candidates' cells: both sum in ascending symbol order
+        blocked = exact.score_cells(spec, cells)[3]
+        # one subset table holds every head's candidates' cells: both sum in ascending symbol order
         for head_symbols in sorted({0, m // 2}):
             trailing = k ** (m - head_symbols)
             heads = exact._label_rows_cells(joint[:, :head_symbols], labels[::trailing, :head_symbols], k)
             slot = exact._subset_slots(k, m - head_symbols)
+            table = exact._subset_table(heads, joint[:, head_symbols:])
             for p in range(heads.shape[1]):
-                table = exact._subset_table(heads[:, p], joint[:, head_symbols:])
                 np.testing.assert_array_equal(
-                    np.take(table, slot, axis=1), cells[:, p * trailing : (p + 1) * trailing]
+                    np.take(table[:, p], slot, axis=1), cells[:, p * trailing : (p + 1) * trailing]
                 )
-        blocked = exact.score_cells(spec, cells)[3]
-        # with no head symbols one table holds every candidate, and its per-cell
-        # scores sum to score_cells' objectives bit for bit
-        table = exact._subset_table(np.zeros((n, k)), joint)
-        tabled = exact._block_objectives(spec, table, exact._subset_slots(k, m))
-        assert [v.hex() for v in tabled.tolist()] == [v.hex() for v in blocked.tolist()]
+            # the heads' per-cell scores sum to score_cells' objectives bit for bit;
+            # with no head symbols one table head holds every candidate, and one gemv
+            # meets a linear constraint's weights on both sides
+            tabled = np.concatenate(list(exact._group_objectives(spec, table, slot)))
+            if head_symbols == 0 or spec.constraint.kind != "linear":
+                assert [v.hex() for v in tabled.tolist()] == [v.hex() for v in blocked.tolist()]
+            else:
+                np.testing.assert_allclose(tabled, blocked, rtol=4 * np.finfo(float).eps, atol=0)
         expected = np.array([_scored(spec, row) for row in labels])
         if spec.constraint.kind == "linear":
             # masses @ weights is a BLAS gemv here and a dot in score_cells: they may round apart

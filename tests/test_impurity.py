@@ -15,6 +15,7 @@ from chanpart import (
 from chanpart.impurity import (
     _column_gradients,
     _column_impurities,
+    _short_sum,
     column_gradients,
     column_impurities,
     constraint_derivatives,
@@ -257,3 +258,32 @@ class TestVectorKernels:
             ImpuritySpec("median")
         with pytest.raises(OutOfRangeError):
             ConstraintSpec("quadratic")
+
+
+class TestShortSum:
+    """``_short_sum`` has the bits of ``ndarray.sum(axis=-1)``, compared as uint64
+    words: a numpy that changes the order of its short reductions fails here."""
+
+    @staticmethod
+    def _terms(rng, shape):
+        """Arrays of ``shape`` whose sums depend on the order of the adds, beside zeros
+        of both signs, subnormals and entries near 1e300."""
+        sign = rng.choice([-1.0, 1.0], shape)
+        return {
+            "mixed": rng.standard_normal(shape) * 10.0 ** rng.integers(-17, 17, shape),
+            "zeros": np.zeros(shape),
+            "negative-zeros": np.full(shape, -0.0),
+            "signed-zeros": 0.0 * sign,
+            "subnormals": sign * 5e-324 * rng.integers(1, 2**40, shape),
+            "near-1e300": sign * rng.uniform(0.5, 1.0, shape) * 1e300 + rng.standard_normal(shape) * 1e284,
+            "zeros-among-large": np.where(rng.random(shape) < 0.5, -0.0, sign * 1e300),
+        }
+
+    @pytest.mark.parametrize("length", range(1, 17))
+    @pytest.mark.parametrize("rows", [(), (5,), (3, 4)], ids=["1-D", "2-D", "3-D"])
+    def test_bits_match_numpy_sum(self, length, rows):
+        rng = np.random.default_rng(length * 10 + len(rows))
+        for name, terms in self._terms(rng, (*rows, length)).items():
+            got = np.asarray(_short_sum(terms), dtype=np.float64).view(np.uint64)
+            expected = np.asarray(terms.sum(axis=-1), dtype=np.float64).view(np.uint64)
+            np.testing.assert_array_equal(got, expected, err_msg=name)

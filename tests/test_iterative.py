@@ -649,6 +649,38 @@ class TestForkedRestarts:
         assert time.monotonic() - started < 30  # the workers were killed, not awaited
         assert _no_child_left()
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["certified", "certificate-fails"])
+    def test_workers_are_reaped_after_the_certificate_and_never_killed(self, fails):
+        """Every result is read before the certificate, so the workers exit while it
+        is computed and are reaped after it, even when it raises, with no SIGKILL."""
+        events = []
+        certify, waitpid = iterative.certified_report, os.waitpid
+
+        def certified(*args):
+            events.append("certificate")
+            if fails:
+                raise ZeroColumnError("in the certificate")
+            return certify(*args)
+
+        def reaped(pid, options):
+            events.append("reap")
+            return waitpid(pid, options)
+
+        with (
+            usable_cpus(3),
+            mock.patch.object(iterative, "certified_report", certified),
+            mock.patch.object(os, "waitpid", reaped),
+            mock.patch.object(os, "kill", wraps=os.kill) as kill,
+        ):
+            if fails:
+                with pytest.raises(ZeroColumnError, match="in the certificate"):
+                    solve_iterative(_fork_instance(8), SolverOptions(restarts=3))
+            else:
+                solve_iterative(_fork_instance(8), SolverOptions(restarts=3))
+        assert events == ["certificate", "reap", "reap"]
+        kill.assert_not_called()
+        assert _no_child_left()
+
     @pytest.mark.parametrize("failing", [1, 2])
     def test_a_fork_or_pipe_the_system_refuses_runs_here(self, failing):
         """The chunk of a worker that cannot be forked, and each after it, runs in
