@@ -29,11 +29,12 @@ after every move, so a merged visit would change the visit order.
 from __future__ import annotations
 
 import os
+import pickle  # numpy imports it already
 import threading
 import warnings
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, zip_longest
 
 import numpy as np
 
@@ -332,30 +333,11 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _restart_worker(read: int, write: int, spec: ProblemSpec, starts, opts: SolverOptions, distinct):
-    """Body of a forked child: pickle ``(True, results)`` of ``starts``, or ``(False,
-    exception)``, into the pipe end ``write``, then end the process without
-    flushing inherited buffers or running exit handlers."""
-    import pickle
-
-    try:
-        os.close(read)
-        try:
-            payload = pickle.dumps((True, [_run_restart(spec, s, opts, distinct) for s in starts]))
-        except BaseException as exc:  # handed to the parent, which raises it
-            try:
-                payload = pickle.dumps((False, exc))
-            except Exception:
-                payload = pickle.dumps((False, RuntimeError(f"restart worker failed: {exc!r}")))
-        with os.fdopen(write, "wb") as stream:
-            stream.write(payload)
-    finally:
-        os._exit(0)
-
-
-def _fork_worker(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
-    """``(pid, read end of its pipe)`` of a forked child that runs ``starts``, or
-    None when the system grants no pipe or process."""
+def _fork_worker(run, starts):
+    """``(pid, read end of its pipe)`` of a forked child that pickles ``(True,
+    [run(start) for start in starts])``, or ``(False, exception)``, into the pipe
+    and ends without flushing inherited buffers or running exit handlers; None
+    when the system grants no pipe or process."""
     try:
         read, write = os.pipe()
     except OSError:
@@ -372,51 +354,49 @@ def _fork_worker(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
         if isinstance(exc, OSError):
             return None
         raise
-    if pid == 0:
-        _restart_worker(read, write, spec, starts, opts, distinct)
-    os.close(write)
-    return pid, read
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        os.close(read)
+        try:
+            payload = pickle.dumps((True, [run(start) for start in starts]))
+        except BaseException as exc:  # handed to the parent, which raises it
+            try:
+                payload = pickle.dumps((False, exc))
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(f"restart worker failed: {exc!r}")))
+        with os.fdopen(write, "wb") as stream:
+            stream.write(payload)
+    finally:
+        os._exit(0)
 
 
-def _restart_results(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
-    """``(sweeps, trace, assignment)`` of each start, in start order.
+def _restart_results(run, starts, workers: int):
+    """``run(start)`` of each start, in start order, on up to ``workers`` processes.
 
-    With at least two starts, an instance past the ``FORK_MIN_SYMBOLS`` and
-    ``FORK_MIN_WORK`` gate, one Python thread and W >= 2 usable CPUs, the
-    starts split into W contiguous chunks: this process runs the first and a
-    forked child each other one.  A chunk whose child cannot be forked runs
-    here, after the children's.  A child's exception is raised here; every
-    child is reaped when this returns, raises or is closed, and killed first
-    if this fails before its results are read.
+    The starts split into ``workers`` contiguous chunks, walked in order.  The
+    first chunk runs in this process and each other one in a forked child,
+    except that once the system refuses a pipe or a fork, that chunk and every
+    later one run here and no further fork is tried.  A child's exception is
+    raised here; every child is reaped when this returns, raises or is closed,
+    and killed first if this fails before its results are read.
     """
-    workers = 1
-    if (
-        len(starts) >= 2
-        and spec.num_symbols >= FORK_MIN_SYMBOLS
-        and spec.num_symbols * spec.num_cells >= FORK_MIN_WORK
-        and threading.active_count() == 1
-    ):
-        workers = min(len(starts), _usable_cpus())
-    if workers < 2:
-        for start in starts:
-            yield _run_restart(spec, start, opts, distinct)
-        return
-
-    import pickle
-    import signal
-
     bounds = [len(starts) * w // workers for w in range(workers + 1)]
+    chunks = [starts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     children = []  # (pid, read end of the pipe it writes its results to)
     settled = 0  # children whose results are read: they have nothing left to do
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            child = _fork_worker(spec, starts[lo:hi], opts, distinct)
+        for chunk in chunks[1:]:
+            child = _fork_worker(run, chunk)
             if child is None:
                 break
             children.append(child)
-        for start in starts[:bounds[1]]:
-            yield _run_restart(spec, start, opts, distinct)
-        for pid, read in children:
+        for chunk, child in zip_longest(chunks, [None, *children]):
+            if child is None:
+                yield from map(run, chunk)
+                continue
+            pid, read = child
             with os.fdopen(read, "rb", closefd=False) as stream:
                 payload = stream.read()
             settled += 1
@@ -426,9 +406,9 @@ def _restart_results(spec: ProblemSpec, starts, opts: SolverOptions, distinct):
             if not ok:
                 raise value
             yield from value
-        for start in starts[bounds[len(children) + 1]:]:
-            yield _run_restart(spec, start, opts, distinct)
     except BaseException:
+        import signal  # only here: its import takes about 0.5 ms on a 2-vCPU Xeon
+
         for pid, _ in children[settled:]:
             os.kill(pid, signal.SIGKILL)
         raise
@@ -450,12 +430,12 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
     options give a bit-identical report.
 
     On Linux, random restarts of an instance past the ``FORK_MIN_SYMBOLS``
-    and ``FORK_MIN_WORK`` gate run on every CPU this process may use, in
-    forked worker processes, when no other Python thread is running; a
-    restart whose worker cannot be forked runs here.  The report is the same
-    bytes as a one-core run, and there is no setting for it.  Only idle CPUs
-    make it faster: the workers' CPU time and memory come on top of this
-    process's.
+    and ``FORK_MIN_WORK`` gate run on every CPU this process may use, when
+    no other Python thread is running: :func:`_restart_results` runs them in
+    order, in forked workers, and runs here whatever it cannot fork.  The
+    report is the same bytes as a one-core run, and there is no setting for
+    it.  Only idle CPUs make it faster: the workers' CPU time and memory come
+    on top of this process's.
     """
     opts = options or SolverOptions()
     if opts.initial_assignment is not None:
@@ -469,10 +449,12 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
 
     # batch sweeps of every restart share one set of distinct posteriors
     distinct = _distinct_columns(posteriors(spec.joint)) if opts.sweep_mode == "batch" else None
+    gated = spec.num_symbols >= FORK_MIN_SYMBOLS and spec.num_symbols * spec.num_cells >= FORK_MIN_WORK
+    workers = min(len(starts), _usable_cpus()) if gated and threading.active_count() == 1 else 1
     iterations: list[int] = []
     best = None  # (assignment, trace)
     # closing the results reaps their workers: after the certificate, so they exit meanwhile
-    with closing(_restart_results(spec, starts, opts, distinct)) as results:
+    with closing(_restart_results(lambda start: _run_restart(spec, start, opts, distinct), starts, workers)) as results:
         for sweeps, trace, assignment in islice(results, len(starts)):
             iterations.append(sweeps)
             if best is None or trace[-1] < best[1][-1]:

@@ -1,5 +1,6 @@
 """Problem-file parsing, report emission, exit codes."""
 
+import dataclasses
 import enum
 import json
 import os
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chanpart import cli
 from chanpart.cli import (
     ECHO_LIMIT,
+    EXIT_DISAGREE,
     EXIT_GUARD,
     EXIT_INPUT,
     EXIT_OK,
@@ -191,6 +194,43 @@ class TestSolve:
             assert captured.out == ""
             assert captured.err.startswith(f"error: {key}: ")
 
+    @pytest.mark.parametrize(
+        ("doc", "key"),
+        [
+            ([E1_DOC], "document"),
+            (e1_doc(constraint=3), "constraint"),
+            (e1_doc(constraint={"weights": [1.0, 2.0]}), "constraint"),
+            (e1_doc(constraint={"kind": "none", "scale": 2}), "constraint.scale"),
+            (e1_doc(options=[1]), "options"),
+        ],
+        ids=["top-level-array", "constraint-number", "constraint-without-kind", "constraint-unknown-key",
+             "options-array"],
+    )
+    def test_file_rule_refusal_exits_2_naming_key(self, tmp_path, capsys, doc, key):
+        """The keys the problem-file reader checks itself, before any library type sees them."""
+        path = write_doc(tmp_path, doc)
+        for command in ("solve", "compare"):
+            assert main([command, path]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {key}: ")
+
+    def test_null_options_solve_like_empty_ones(self, tmp_path, capsys):
+        reports = []
+        for name, options in (("null.json", None), ("empty.json", {})):
+            assert main(["solve", write_doc(tmp_path, e1_doc(solver="iterative", options=options), name)]) == EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["solver"] == "iterative"
+
+    def test_missing_file_exits_2_naming_path(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        for command in ("solve", "compare"):
+            assert main([command, path]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}: ")
+
     def test_unknown_impurity_exits_2(self, tmp_path, capsys):
         code = main(["solve", write_doc(tmp_path, e1_doc(impurity="variance"))])
         assert code == EXIT_INPUT
@@ -332,6 +372,27 @@ class TestCompare:
         assert results["dp"] == {
             "applicable": False, "reason": "needs the identity channel", "solver": "dp"
         }
+
+    def test_disagreeing_exact_solvers_exit_4(self, tmp_path, capsys):
+        """One exact objective moved by 1e-6 fails the cross-check, which still writes its report."""
+        real = cli.solve_dp_identity
+
+        def moved(spec):
+            report = real(spec)
+            return dataclasses.replace(report, objective=report.objective + 1e-6)
+
+        out = tmp_path / "compare.json"
+        with mock.patch.object(cli, "solve_dp_identity", moved):
+            code = main(["compare", write_doc(tmp_path, e1_doc()), "--output", str(out)])
+        assert code == EXIT_DISAGREE
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["agreement"] is False
+        assert doc["exact_solver_gap"] == pytest.approx(1e-6, abs=1e-12)
+        objectives = {r["solver"]: r["objective"] for r in doc["results"]}
+        assert doc["exact_solver_gap"] == objectives["dp"] - min(objectives["bruteforce"], objectives["thresholds"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: exact solvers disagree by {doc['exact_solver_gap']!r}\n"
 
     def test_large_instance_exits_3(self, tmp_path):
         m = 30

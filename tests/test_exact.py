@@ -522,6 +522,10 @@ class TestSeparationCheck:
             assert violation.kind in ("distance", "ordering")
             assert violation.margin >= 0.0
 
+    def test_soft_quantizer_rejected(self, e1_spec):
+        with pytest.raises(PreconditionViolatedError, match="^separation is defined for hard quantizers$"):
+            check_hyperplane_separation(e1_spec, Quantizer.soft(np.full((4, 2), 0.5)))
+
     def test_single_cell_vacuously_true(self):
         spec = make_e1_spec(num_cells=1)
         result = check_hyperplane_separation(spec, Quantizer.hard([0, 0, 0, 0], 1))
@@ -594,6 +598,10 @@ class TestThresholdStructure:
         assert not structure.sorted_order.flags.writeable
         with pytest.raises(ValueError):
             structure.sorted_order[0] = 0
+
+    def test_soft_quantizer_rejected(self, e1_spec):
+        with pytest.raises(PreconditionViolatedError, match="^threshold structure is defined for hard quantizers$"):
+            threshold_structure(e1_spec, Quantizer.soft(np.full((4, 2), 0.5)))
 
     def test_non_contiguous_partition_rejected(self, e1_spec):
         with pytest.raises(PreconditionViolatedError):

@@ -5,6 +5,7 @@ import pytest
 
 from chanpart import (
     ConstraintSpec,
+    DimensionMismatchError,
     ENTROPY,
     GINI,
     ImpuritySpec,
@@ -151,6 +152,20 @@ class TestConstraintDerivative:
             d = constraint_derivatives(g, [p])[0]
             rel = abs(d - fd) / max(abs(d), abs(fd), 1e-3)
             assert rel <= 1e-5
+
+
+class TestConstraintRefusals:
+    @pytest.mark.parametrize("weights", [[1.0, np.nan], [[1.0, 2.0]], []], ids=["nan", "2-d", "empty"])
+    def test_linear_weights_must_be_a_finite_vector(self, weights):
+        with pytest.raises(DimensionMismatchError, match="^linear weights must be a finite 1-D vector$"):
+            ConstraintSpec.linear(weights)
+
+    def test_linear_masses_must_match_the_weights(self):
+        g = ConstraintSpec.linear([2.0, 3.0])
+        with pytest.raises(DimensionMismatchError, match="^3 cells but 2 linear weights$"):
+            constraint_total(g, [0.2, 0.3, 0.5])
+        with pytest.raises(DimensionMismatchError, match="^1 cells but 2 linear weights$"):
+            constraint_derivatives(g, [0.5])
 
 
 class TestWeightScaling:

@@ -221,6 +221,10 @@ class TestReassignSweep:
         with pytest.raises(OutOfRangeError):
             reassign_sweep(e1_spec, np.array([0, 0, 1, 1]), mode="jumbled")
 
+    def test_rejects_a_soft_quantizer(self, e1_spec):
+        with pytest.raises(OutOfRangeError, match="^reassignment sweeps operate on hard quantizers$"):
+            reassign_sweep(e1_spec, Quantizer.soft(np.full((4, 2), 0.5)))
+
 
 class TestMoveMonotonicity:
     """A nearest-distance move never increases a freshly evaluated objective."""

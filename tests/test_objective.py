@@ -14,6 +14,7 @@ from chanpart import (
     OutOfRangeError,
     ProblemSpec,
     Quantizer,
+    assignment_is_distance_optimal,
     distance_matrix,
     evaluate,
     path_objective,
@@ -24,6 +25,7 @@ from chanpart import (
 from conftest import binary_entropy, make_e1_spec, random_hard_labels, random_instance
 
 E1_OPT = Quantizer.hard([0, 0, 1, 1], 2)
+E1_SOFT = Quantizer.soft(np.full((4, 2), 0.5))
 
 
 class TestEvaluate:
@@ -85,6 +87,16 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError, match="^channel has 2 input rows, expected an int of 16610 bits$"):
             make_e1_spec(num_cells=10**5000, channel=ChannelMatrix.identity(2))
 
+    def test_spec_refuses_linear_weights_of_another_count(self):
+        with pytest.raises(DimensionMismatchError, match="^linear constraint has 3 weights, expected 2$"):
+            ProblemSpec(
+                joint=validate_joint([[0.25, 0.25], [0.25, 0.25]]),
+                channel=ChannelMatrix.identity(2),
+                num_cells=2,
+                impurity=ENTROPY,
+                constraint=ConstraintSpec.linear([1.0, 2.0, 3.0]),
+            )
+
     def test_spec_stores_beta_as_a_float(self):
         for beta in (2, np.int64(3), np.float64(2.5), 1e308):
             stored = make_e1_spec(beta=beta).beta
@@ -97,6 +109,10 @@ class TestEvaluate:
 
 
 class TestDistance:
+    def test_distance_optimality_refuses_a_soft_quantizer(self, e1_spec):
+        with pytest.raises(InvalidMoveError, match="^distance optimality is defined for hard quantizers$"):
+            assignment_is_distance_optimal(e1_spec, E1_SOFT)
+
     def test_scaled_distance_is_cross_entropy(self, e1_spec):
         # Y1 has posterior (0.8, 0.2); cell 1 holds joint (0.35, 0.15)
         state = evaluate(e1_spec, E1_OPT)
@@ -182,6 +198,8 @@ class TestPathObjective:
             path_objective(e1_spec, E1_OPT, 4, 0, 1, 0.5)  # no symbol 4
         with pytest.raises(IndexOutOfRangeError):
             path_objective(e1_spec, E1_OPT, 0, 0, 2, 0.5)  # no cell 2
+        with pytest.raises(InvalidMoveError, match="^path objective starts from a hard quantizer$"):
+            path_objective(e1_spec, E1_SOFT, 0, 0, 1, 0.5)
 
     @pytest.mark.parametrize(
         "num_cells, q, m, source, target, message",

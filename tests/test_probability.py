@@ -171,6 +171,7 @@ class TestPushThroughChannel:
         j = validate_joint(E1_JOINT)
         c = push_to_clusters(j, Quantizer.hard([0, 0, 1, 1], 2))
         o = push_through_channel(c, ChannelMatrix([[1.0], [1.0]]))
+        assert o.num_outputs == 1
         np.testing.assert_allclose(o.entries[:, 0], j.source_marginal, atol=1e-15)
 
     def test_dimension_mismatch(self):
@@ -283,6 +284,34 @@ class TestQuantizer:
     def test_membership_matrix_is_one_hot(self):
         q = Quantizer.hard([1, 0, 1], 2)
         np.testing.assert_array_equal(q.membership_matrix(), [[0, 1], [1, 0], [0, 1]])
+
+    def test_soft_membership_matrix_is_the_stored_rows(self):
+        rows = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+        q = Quantizer.soft(rows)
+        assert q.membership_matrix() is q.soft_assignment
+        np.testing.assert_array_equal(q.membership_matrix(), rows, strict=True)
+        assert q.num_points == 3
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(OutOfRangeError, match="^quantizer kind must be 'hard' or 'soft', got 'fuzzy'$"):
+            Quantizer("fuzzy", 2, hard_assignment=np.array([0, 1]))
+
+    @pytest.mark.parametrize("kind", ["hard", "soft"])
+    @pytest.mark.parametrize("given", ["both", "neither"])
+    def test_rejects_both_or_neither_assignment(self, kind, given):
+        labels, rows = np.array([0, 1]), np.array([[1.0, 0.0], [0.0, 1.0]])
+        assignments = {"hard_assignment": labels, "soft_assignment": rows} if given == "both" else {}
+        with pytest.raises(DimensionMismatchError, match=f"^{kind} quantizer requires {kind}_assignment only$"):
+            Quantizer(kind, 2, **assignments)
+
+    @pytest.mark.parametrize("labels", [[], [[0, 1]]], ids=["empty", "2-d"])
+    def test_rejects_labels_that_are_not_a_nonempty_vector(self, labels):
+        with pytest.raises(DimensionMismatchError, match="^hard_assignment must be a nonempty vector$"):
+            Quantizer.hard(labels, 2)
+
+    def test_rejects_soft_columns_other_than_the_cell_count(self):
+        with pytest.raises(DimensionMismatchError, match="^soft_assignment has 2 columns, expected 3$"):
+            Quantizer("soft", 3, soft_assignment=np.array([[0.5, 0.5]]))
 
 
 class TestChannelMatrix:
