@@ -7,8 +7,8 @@ objective non-increasing move by move; in batch mode the whole sweep reuses
 one set of statistics, which is faster but carries no monotonicity
 guarantee.  Both modes end a restart on a sweep that moves nothing or gains
 at most ``CONVERGENCE_TOL``, and a batch restart returns the best partition
-it saw.  Restarts draw independent random initial assignments and the best
-restart wins.
+it saw.  Each restart draws its random start from its index where it runs,
+and the best restart wins.
 
 The sequential sweep is exact yet scans symbols in blocks: the statistics
 change only when a symbol moves, so between two moves every symbol's
@@ -20,7 +20,7 @@ A symbol's scaled distances depend only on its posterior column p(X|Y_m),
 so the batch sweep computes them once per distinct posterior and hands
 each symbol the nearest cell of its bit-identical representative.  The
 distinct columns are found once per solve.  When no two columns are equal
-(or their keys collide) the sweep reads the raw columns as before.
+(or their keys collide) the sweep reads the raw columns.
 Assignments, cell joints, restarts and the certificate stay on the M
 symbols.  The sequential sweep cannot merge symbols: the statistics change
 after every move, so a merged visit would change the visit order.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import pickle  # numpy imports it already
+import sys
 import threading
 import warnings
 from contextlib import closing
@@ -38,7 +39,7 @@ from itertools import islice, zip_longest
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import DimensionMismatchError, OutOfRangeError
 from .impurity import _column_gradients, constraint_derivatives
 # SolveReport is also imported from this module by callers
 from .objective import ProblemSpec, SolveReport, _check_fits, _distances, certified_report, score_cells
@@ -68,10 +69,11 @@ FORK_MIN_WORK = 2048
 class SolverOptions:
     """Knobs for :func:`solve_iterative`.
 
-    ``max_iterations``, ``restarts`` and ``seed`` must be integers, not
-    bools.  A given ``initial_assignment`` runs a single pass from those
-    labels instead of ``restarts`` random starts; it is stored as a tuple, so
-    options compare and hash by value, and :meth:`Quantizer.hard` checks the
+    ``max_iterations``, ``restarts`` (at most ``sys.maxsize``) and ``seed`` must
+    be integers, not bools.  Random restart i draws its start from ``seed`` and
+    i, in the process that runs it.  A given ``initial_assignment`` runs a single
+    pass from those labels instead; it must be a vector and is stored as a tuple,
+    so options compare and hash by value, and :meth:`Quantizer.hard` checks the
     labels when the pass starts.
     """
 
@@ -88,10 +90,15 @@ class SolverOptions:
             _check_integer(name, value)
             if value < least:
                 raise OutOfRangeError(f"{name} must be {rule}, got {_count_text(value)}")
+        if self.restarts > sys.maxsize:  # the restarts are the indices of a range
+            raise OutOfRangeError(f"restarts must be <= {sys.maxsize}, got {_count_text(self.restarts)}")
         if self.sweep_mode not in SWEEP_MODES:
             raise OutOfRangeError(f"sweep_mode must be one of {SWEEP_MODES}, got {self.sweep_mode!r}")
         if self.initial_assignment is not None:
-            object.__setattr__(self, "initial_assignment", tuple(np.asarray(self.initial_assignment).tolist()))
+            labels = np.asarray(self.initial_assignment)
+            if labels.ndim != 1:
+                raise DimensionMismatchError(f"initial_assignment must be a vector, got {labels.ndim} dimensions")
+            object.__setattr__(self, "initial_assignment", tuple(labels.tolist()))
 
 
 #: Multipliers of the finalizer of MurmurHash3, which the column fold runs per word.
@@ -290,17 +297,16 @@ def reassign_sweep(spec: ProblemSpec, assignment, mode: str = "sequential"):
     return engine.assignment, changed
 
 
-def _random_assignment(rng: np.random.Generator, num_symbols: int, num_cells: int) -> np.ndarray:
-    # reject degenerate all-in-one-cell draws when a real choice exists
-    while True:
-        a = rng.integers(0, num_cells, size=num_symbols).astype(np.int64)
-        if num_cells == 1 or num_symbols == 1 or a.min() != a.max():
-            return a
-
-
-def _run_restart(spec: ProblemSpec, start: np.ndarray, opts: SolverOptions, distinct):
-    """One restart on batch mode's ``_distinct_columns``; returns (sweeps, trace, assignment),
-    the trace ending at the assignment's objective."""
+def _run_restart(spec: ProblemSpec, index: int, opts: SolverOptions, distinct):
+    """Restart ``index`` on batch mode's ``_distinct_columns``; returns (sweeps, trace, assignment),
+    the trace ending at the assignment's objective.  It starts from ``opts.initial_assignment``
+    when set, else from labels drawn here, in the process that runs it, from child ``index`` of
+    ``SeedSequence(opts.seed)``, redrawn while all labels agree though K, M > 1."""
+    start = opts.initial_assignment
+    if start is None:
+        rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(index,)))
+        while start is None or (min(spec.num_cells, spec.num_symbols) > 1 and start.min() == start.max()):
+            start = rng.integers(0, spec.num_cells, size=spec.num_symbols)
     engine = _SweepEngine(spec, start)
     trace = [engine.objective]
     if spec.num_cells == 1:
@@ -431,31 +437,24 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
 
     On Linux, random restarts of an instance past the ``FORK_MIN_SYMBOLS``
     and ``FORK_MIN_WORK`` gate run on every CPU this process may use, when
-    no other Python thread is running: :func:`_restart_results` runs them in
-    order, in forked workers, and runs here whatever it cannot fork.  The
-    report is the same bytes as a one-core run, and there is no setting for
-    it.  Only idle CPUs make it faster: the workers' CPU time and memory come
-    on top of this process's.
+    no other Python thread is running: :func:`_restart_results` runs their
+    indices in order, in forked workers, and here whatever it cannot fork;
+    each restart draws its start from its index where it runs.  The report
+    is the same bytes as a one-core run, with no setting for it.  Only idle
+    CPUs make it faster: the workers' CPU time and memory add to this one's.
     """
     opts = options or SolverOptions()
-    if opts.initial_assignment is not None:
-        starts = [opts.initial_assignment]
-    else:
-        children = np.random.SeedSequence(opts.seed).spawn(opts.restarts)
-        starts = [
-            _random_assignment(np.random.default_rng(child), spec.num_symbols, spec.num_cells)
-            for child in children
-        ]
+    restarts = range(1 if opts.initial_assignment is not None else opts.restarts)
 
     # batch sweeps of every restart share one set of distinct posteriors
     distinct = _distinct_columns(posteriors(spec.joint)) if opts.sweep_mode == "batch" else None
     gated = spec.num_symbols >= FORK_MIN_SYMBOLS and spec.num_symbols * spec.num_cells >= FORK_MIN_WORK
-    workers = min(len(starts), _usable_cpus()) if gated and threading.active_count() == 1 else 1
+    workers = min(len(restarts), _usable_cpus()) if gated and threading.active_count() == 1 else 1
     iterations: list[int] = []
     best = None  # (assignment, trace)
     # closing the results reaps their workers: after the certificate, so they exit meanwhile
-    with closing(_restart_results(lambda start: _run_restart(spec, start, opts, distinct), starts, workers)) as results:
-        for sweeps, trace, assignment in islice(results, len(starts)):
+    with closing(_restart_results(lambda i: _run_restart(spec, i, opts, distinct), restarts, workers)) as results:
+        for sweeps, trace, assignment in islice(results, len(restarts)):
             iterations.append(sweeps)
             if best is None or trace[-1] < best[1][-1]:
                 best = (assignment, trace)

@@ -306,6 +306,16 @@ class TestSolve:
         assert main(["solve", in_file]) == EXIT_INPUT
         assert capsys.readouterr().err == by_flag
 
+    def test_restarts_past_sys_maxsize_exit_2_from_the_flag_and_the_file(self, tmp_path, capsys):
+        path = write_doc(tmp_path, e1_doc(solver="iterative"))
+        assert main(["solve", path, "--restarts", str(10**20)]) == EXIT_INPUT
+        by_flag = capsys.readouterr().err
+        assert by_flag == f"error: options: restarts must be <= {sys.maxsize}, got an int of 67 bits\n"
+        in_file = write_doc(tmp_path, e1_doc(solver="iterative", options={"restarts": 10**20}), name="file.json")
+        for command in ("solve", "compare"):
+            assert main([command, in_file]) == EXIT_INPUT
+            assert capsys.readouterr().err == by_flag
+
     def test_solver_and_seed_overrides(self, tmp_path, capsys):
         path = write_doc(tmp_path, e1_doc(solver="bruteforce"))
         code = main(["solve", path, "--solver", "iterative", "--seed", "0", "--restarts", "10"])

@@ -1,8 +1,10 @@
 """Local solver: sweeps, monotonicity, restarts, determinism."""
 
 import os
+import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -536,6 +538,24 @@ class TestOptionsValidation:
         assert hash(SolverOptions()) == hash(SolverOptions())
         assert replace(from_list, seed=1) != from_list
 
+    def test_hash_follows_the_labels_of_any_vector_and_only_a_vector_is_taken(self):
+        built = [SolverOptions(initial_assignment=labels)
+                 for labels in ([0, 1, 1, 0], (0, 1, 1, 0), np.array([0, 1, 1, 0]))]
+        assert len({hash(options) for options in built}) == 1
+        assert built[0] == built[1] == built[2]
+        # numpy reads a string as one scalar, not as labels
+        for not_a_vector in ([[0, 1], [1, 0]], np.zeros((2, 2), dtype=np.int64), 3, "0101"):
+            with pytest.raises(DimensionMismatchError, match="^initial_assignment must be a vector, got"):
+                SolverOptions(initial_assignment=not_a_vector)
+
+    def test_restarts_past_sys_maxsize_are_refused(self):
+        """Restarts are the indices of a range, whose length is at most ``sys.maxsize``."""
+        assert SolverOptions(restarts=sys.maxsize).restarts == sys.maxsize
+        with pytest.raises(OutOfRangeError, match=f"^restarts must be <= {sys.maxsize}, got {sys.maxsize + 1}$"):
+            SolverOptions(restarts=sys.maxsize + 1)
+        with pytest.raises(OutOfRangeError, match="^restarts must be <= .*, got an int of 67 bits$"):
+            SolverOptions(restarts=10**20)
+
     def test_wrong_length_gets_the_message_evaluate_gives(self, e1_spec):
         for refuse in (lambda: reassign_sweep(e1_spec, [0, 1]),
                        lambda: solve_iterative(e1_spec, SolverOptions(initial_assignment=[0, 1]))):
@@ -554,9 +574,61 @@ class TestOptionsValidation:
                 solve_iterative(e1_spec, SolverOptions(initial_assignment=not_labels))
             with pytest.raises(IndexOutOfRangeError):
                 reassign_sweep(e1_spec, not_labels)
-        # stored as the tuple of its characters, which are not integer labels
-        with pytest.raises(IndexOutOfRangeError, match="integer cell labels"):
-            solve_iterative(e1_spec, SolverOptions(initial_assignment="0101"))
+
+
+class TestRestartStarts:
+    """Random restart i starts from child i of ``SeedSequence(seed).spawn(restarts)``, drawn
+    where it runs, so no solve holds the starts of all its restarts."""
+
+    @staticmethod
+    def _expected_starts(seed, restarts, num_symbols, num_cells):
+        """Each child's first draw that leaves two cells in use, where a real choice exists; and
+        whether any child drew again."""
+        starts, redrawn = [], False
+        for child in np.random.SeedSequence(seed).spawn(restarts):
+            rng = np.random.default_rng(child)
+            labels = rng.integers(0, num_cells, size=num_symbols)
+            while num_cells > 1 and num_symbols > 1 and np.unique(labels).size == 1:
+                labels, redrawn = rng.integers(0, num_cells, size=num_symbols), True
+            starts.append(labels)
+        return starts, redrawn
+
+    @pytest.mark.parametrize(("num_symbols", "num_cells"), [(2, 2), (1, 3), (5, 1), (60, 4)])
+    def test_restart_i_starts_from_child_i_of_the_spawned_seeds(self, num_symbols, num_cells):
+        spec = random_instance(np.random.default_rng(num_symbols), num_symbols=num_symbols, num_cells=num_cells)
+        seen, init = [], _SweepEngine.__init__
+
+        def recording(engine, spec, assignment):
+            seen.append(np.array(assignment))
+            init(engine, spec, assignment)
+
+        redraws = 0
+        with usable_cpus(1), mock.patch.object(_SweepEngine, "__init__", recording):
+            for seed in (0, 1, 24, 2**40):
+                for restarts in range(1, 6):
+                    seen.clear()
+                    solve_iterative(spec, SolverOptions(seed=seed, restarts=restarts))
+                    expected, redrawn = self._expected_starts(seed, restarts, num_symbols, num_cells)
+                    redraws += redrawn
+                    assert len(seen) == restarts
+                    for start, labels in zip(seen, expected):
+                        np.testing.assert_array_equal(start, labels, strict=True)
+        # two symbols in two cells land in one cell on half the draws
+        assert redraws > 0 if (num_symbols, num_cells) == (2, 2) else redraws == 0
+
+    def test_peak_memory_does_not_grow_with_restarts(self):
+        spec = random_instance(np.random.default_rng(24), num_symbols=20_000, num_cells=4)
+        peaks = []
+        with usable_cpus(1):
+            for restarts in (2, 40):
+                tracemalloc.start()
+                try:
+                    solve_iterative(spec, SolverOptions(restarts=restarts, sweep_mode="batch", max_iterations=1))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        one_start = spec.num_symbols * np.dtype(np.int64).itemsize
+        assert peaks[1] - peaks[0] < (40 - 2) * one_start
 
 
 def _no_child_left() -> bool:
