@@ -22,9 +22,11 @@ import numpy as np
 import orjson
 
 from .errors import (
+    ECHO_LIMIT,
     ChanpartError,
     InstanceTooLargeError,
     PreconditionViolatedError,
+    _echo_repr,
 )
 from .exact import solve_binary_thresholds, solve_bruteforce, solve_dp_identity
 from .impurity import ConstraintSpec, ImpuritySpec, gradient_bound
@@ -56,9 +58,6 @@ ORJSON_MAX_DEPTH = 64
 #: Every byte but the opening bracket and brace.
 _NOT_OPENING = bytes(b for b in range(256) if b not in b"[{")
 
-#: Longest echo of a problem file's value or key in an error message.
-ECHO_LIMIT = 200
-
 #: Bound on any partition's objective and any symbol-to-cell distance that a
 #: problem file must keep; half the float range leaves room for their differences.
 OBJECTIVE_LIMIT = sys.float_info.max / 2
@@ -88,39 +87,6 @@ def _echo(text: str) -> str:
     if len(text) <= ECHO_LIMIT:
         return text
     return f"{text[:ECHO_LIMIT]}... ({len(text) - ECHO_LIMIT} more characters)"
-
-
-def _repr_pieces(value):
-    """``repr(value)`` for a decoded JSON value, piece by piece; no piece is empty.
-
-    A list or object yields its bracket before it descends, so a reader that stops past
-    :data:`ECHO_LIMIT` characters recurses at most ``ECHO_LIMIT + 1`` levels deep."""
-    if type(value) is list:
-        yield "["
-        for i, item in enumerate(value):
-            if i:
-                yield ", "
-            yield from _repr_pieces(item)
-        yield "]"
-    elif type(value) is dict:
-        yield "{"
-        for i, (key, item) in enumerate(value.items()):
-            yield f"{', ' if i else ''}{key!r}: "
-            yield from _repr_pieces(item)
-        yield "}"
-    else:
-        yield repr(value)
-
-
-def _echo_repr(value) -> str:
-    """``repr(value)`` for a decoded JSON value, written out only up to the cut at
-    :data:`ECHO_LIMIT` characters; a value cut short does not say how many were cut."""
-    text = ""
-    for piece in _repr_pieces(value):
-        text += piece
-        if len(text) > ECHO_LIMIT:
-            return f"{text[:ECHO_LIMIT]}... (more characters)"
-    return text
 
 
 @contextmanager

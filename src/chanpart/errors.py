@@ -3,8 +3,45 @@
 Every error raised by this package derives from :class:`ChanpartError`, so
 callers can catch one base class.  Validation failures additionally derive
 from :class:`ValueError` and index failures from :class:`IndexError` to stay
-compatible with generic exception handling.
+compatible with generic exception handling.  A message that quotes a
+caller's value writes at most :data:`ECHO_LIMIT` characters of its repr.
 """
+
+#: Longest echo of a caller's value, or a problem file's value or key, in an error message.
+ECHO_LIMIT = 200
+
+
+def _repr_pieces(value):
+    """``repr(value)`` piece by piece, a list or dict item by item; no piece is empty.
+
+    A list or dict yields its bracket before it descends, so a reader that stops past
+    :data:`ECHO_LIMIT` characters recurses at most ``ECHO_LIMIT + 1`` levels deep."""
+    if type(value) is list:
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _repr_pieces(item)
+        yield "]"
+    elif type(value) is dict:
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield f"{', ' if i else ''}{key!r}: "
+            yield from _repr_pieces(item)
+        yield "}"
+    else:
+        yield repr(value)
+
+
+def _echo_repr(value) -> str:
+    """``repr(value)``, written out only up to the cut at :data:`ECHO_LIMIT`
+    characters; a value cut short does not say how many were cut."""
+    text = ""
+    for piece in _repr_pieces(value):
+        text += piece
+        if len(text) > ECHO_LIMIT:
+            return f"{text[:ECHO_LIMIT]}... (more characters)"
+    return text
 
 
 class ChanpartError(Exception):

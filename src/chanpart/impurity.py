@@ -29,6 +29,7 @@ from .errors import (
     NegativeEntryError,
     NonPositiveEntryError,
     OutOfRangeError,
+    _echo_repr,
 )
 from .probability import INVARIANT_TOL
 
@@ -49,7 +50,7 @@ class ImpuritySpec:
 
     def __post_init__(self) -> None:
         if self.kind not in IMPURITY_KINDS:
-            raise OutOfRangeError(f"impurity kind must be one of {IMPURITY_KINDS}, got {self.kind!r}")
+            raise OutOfRangeError(f"impurity kind must be one of {IMPURITY_KINDS}, got {_echo_repr(self.kind)}")
 
 
 ENTROPY = ImpuritySpec("entropy")
@@ -70,7 +71,7 @@ class ConstraintSpec:
     def __post_init__(self) -> None:
         if self.kind not in CONSTRAINT_KINDS:
             raise OutOfRangeError(
-                f"constraint kind must be one of {CONSTRAINT_KINDS}, got {self.kind!r}"
+                f"constraint kind must be one of {CONSTRAINT_KINDS}, got {_echo_repr(self.kind)}"
             )
         if self.kind == "linear":
             if self.weights is None:

@@ -35,11 +35,12 @@ import threading
 import warnings
 from contextlib import closing
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice, zip_longest
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OutOfRangeError
+from .errors import DimensionMismatchError, OutOfRangeError, _echo_repr
 from .impurity import _column_gradients, constraint_derivatives
 # SolveReport is also imported from this module by callers
 from .objective import ProblemSpec, SolveReport, _check_fits, _distances, certified_report, score_cells
@@ -93,7 +94,7 @@ class SolverOptions:
         if self.restarts > sys.maxsize:  # the restarts are the indices of a range
             raise OutOfRangeError(f"restarts must be <= {sys.maxsize}, got {_count_text(self.restarts)}")
         if self.sweep_mode not in SWEEP_MODES:
-            raise OutOfRangeError(f"sweep_mode must be one of {SWEEP_MODES}, got {self.sweep_mode!r}")
+            raise OutOfRangeError(f"sweep_mode must be one of {SWEEP_MODES}, got {_echo_repr(self.sweep_mode)}")
         if self.initial_assignment is not None:
             labels = np.asarray(self.initial_assignment)
             if labels.ndim != 1:
@@ -286,7 +287,7 @@ def reassign_sweep(spec: ProblemSpec, assignment, mode: str = "sequential"):
     mode computes all distances once and moves every symbol simultaneously.
     """
     if mode not in SWEEP_MODES:
-        raise OutOfRangeError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
+        raise OutOfRangeError(f"mode must be one of {SWEEP_MODES}, got {_echo_repr(mode)}")
     if isinstance(assignment, Quantizer):
         if assignment.kind != "hard":
             raise OutOfRangeError("reassignment sweeps operate on hard quantizers")
@@ -298,7 +299,7 @@ def reassign_sweep(spec: ProblemSpec, assignment, mode: str = "sequential"):
 
 
 def _run_restart(spec: ProblemSpec, index: int, opts: SolverOptions, distinct):
-    """Restart ``index`` on batch mode's ``_distinct_columns``; returns (sweeps, trace, assignment),
+    """Restart ``index`` on batch mode's ``_distinct_columns``; returns ((sweeps,), trace, assignment),
     the trace ending at the assignment's objective.  It starts from ``opts.initial_assignment``
     when set, else from labels drawn here, in the process that runs it, from child ``index`` of
     ``SeedSequence(opts.seed)``, redrawn while all labels agree though K, M > 1."""
@@ -310,7 +311,7 @@ def _run_restart(spec: ProblemSpec, index: int, opts: SolverOptions, distinct):
     engine = _SweepEngine(spec, start)
     trace = [engine.objective]
     if spec.num_cells == 1:
-        return 0, trace, engine.assignment
+        return (0,), trace, engine.assignment
 
     sequential = opts.sweep_mode == "sequential"
     # only batch mode reads the best state seen; a batch sweep replaces the
@@ -328,10 +329,15 @@ def _run_restart(spec: ProblemSpec, index: int, opts: SolverOptions, distinct):
             break
 
     if sequential:
-        return sweeps, trace, engine.assignment
+        return (sweeps,), trace, engine.assignment
     if best_obj < engine.objective:
         trace.append(best_obj)  # the last batch sweep rose: end at the state returned
-    return sweeps, trace, best_assignment
+    return (sweeps,), trace, best_assignment
+
+
+def _merge(first, then):
+    """Both sweep counts, and ``then``'s trace and assignment only if it ends strictly lower."""
+    return first[0] + then[0], *(then[1:] if then[1][-1] < first[1][-1] else first[1:])
 
 
 def _usable_cpus() -> int:
@@ -339,11 +345,11 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _fork_worker(run, starts):
+def _fork_worker(run, chunk):
     """``(pid, read end of its pipe)`` of a forked child that pickles ``(True,
-    [run(start) for start in starts])``, or ``(False, exception)``, into the pipe
-    and ends without flushing inherited buffers or running exit handlers; None
-    when the system grants no pipe or process."""
+    run(chunk))``, the one result of its whole chunk, or ``(False, exception)``, into
+    the pipe and ends without flushing inherited buffers or running exit handlers;
+    None when the system grants no pipe or process."""
     try:
         read, write = os.pipe()
     except OSError:
@@ -366,7 +372,7 @@ def _fork_worker(run, starts):
     try:
         os.close(read)
         try:
-            payload = pickle.dumps((True, [run(start) for start in starts]))
+            payload = pickle.dumps((True, run(chunk)))
         except BaseException as exc:  # handed to the parent, which raises it
             try:
                 payload = pickle.dumps((False, exc))
@@ -379,14 +385,14 @@ def _fork_worker(run, starts):
 
 
 def _restart_results(run, starts, workers: int):
-    """``run(start)`` of each start, in start order, on up to ``workers`` processes.
+    """``run(chunk)`` for each of ``workers`` contiguous chunks of the starts, in order.
 
-    The starts split into ``workers`` contiguous chunks, walked in order.  The
-    first chunk runs in this process and each other one in a forked child,
+    The first chunk runs in this process and each other one in a forked child,
     except that once the system refuses a pipe or a fork, that chunk and every
-    later one run here and no further fork is tried.  A child's exception is
-    raised here; every child is reaped when this returns, raises or is closed,
-    and killed first if this fails before its results are read.
+    later one run here and no further fork is tried.  Each chunk hands back one
+    value, so what this holds grows with ``workers``, not with the starts.  A
+    child's exception is raised here; every child is reaped when this returns,
+    raises or is closed, and killed first if this fails before its results are read.
     """
     bounds = [len(starts) * w // workers for w in range(workers + 1)]
     chunks = [starts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -400,7 +406,7 @@ def _restart_results(run, starts, workers: int):
             children.append(child)
         for chunk, child in zip_longest(chunks, [None, *children]):
             if child is None:
-                yield from map(run, chunk)
+                yield run(chunk)
                 continue
             pid, read = child
             with os.fdopen(read, "rb", closefd=False) as stream:
@@ -411,7 +417,7 @@ def _restart_results(run, starts, workers: int):
             ok, value = pickle.loads(payload)
             if not ok:
                 raise value
-            yield from value
+            yield value
     except BaseException:
         import signal  # only here: its import takes about 0.5 ms on a 2-vCPU Xeon
 
@@ -435,13 +441,13 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
     objective wins (ties keep the earliest restart).  Identical spec and
     options give a bit-identical report.
 
-    On Linux, random restarts of an instance past the ``FORK_MIN_SYMBOLS``
-    and ``FORK_MIN_WORK`` gate run on every CPU this process may use, when
-    no other Python thread is running: :func:`_restart_results` runs their
-    indices in order, in forked workers, and here whatever it cannot fork;
-    each restart draws its start from its index where it runs.  The report
-    is the same bytes as a one-core run, with no setting for it.  Only idle
-    CPUs make it faster: the workers' CPU time and memory add to this one's.
+    On Linux, random restarts of an instance past the ``FORK_MIN_SYMBOLS`` and ``FORK_MIN_WORK``
+    gate run on every CPU this process may use, when no other Python thread is running:
+    :func:`_restart_results` runs chunks of their indices in order, in forked workers, and here
+    whatever it cannot fork.  Each restart draws its start from its index where it runs, and each
+    process folds its chunk with :func:`_merge` into its sweep counts and winner, so memory grows
+    with the workers, not the restarts.  The report is the same bytes as a one-core run, with no
+    setting for it.  Only idle CPUs make it faster: the workers' CPU time and memory add to this one's.
     """
     opts = options or SolverOptions()
     restarts = range(1 if opts.initial_assignment is not None else opts.restarts)
@@ -450,12 +456,8 @@ def solve_iterative(spec: ProblemSpec, options: SolverOptions | None = None) -> 
     distinct = _distinct_columns(posteriors(spec.joint)) if opts.sweep_mode == "batch" else None
     gated = spec.num_symbols >= FORK_MIN_SYMBOLS and spec.num_symbols * spec.num_cells >= FORK_MIN_WORK
     workers = min(len(restarts), _usable_cpus()) if gated and threading.active_count() == 1 else 1
-    iterations: list[int] = []
-    best = None  # (assignment, trace)
     # closing the results reaps their workers: after the certificate, so they exit meanwhile
-    with closing(_restart_results(lambda i: _run_restart(spec, i, opts, distinct), restarts, workers)) as results:
-        for sweeps, trace, assignment in islice(results, len(restarts)):
-            iterations.append(sweeps)
-            if best is None or trace[-1] < best[1][-1]:
-                best = (assignment, trace)
-        return certified_report(spec, best[0], "iterative", tuple(iterations), tuple(best[1]))
+    with closing(_restart_results(lambda chunk: reduce(_merge, (_run_restart(spec, i, opts, distinct) for i in chunk)),
+                                  restarts, workers)) as results:
+        iterations, trace, assignment = reduce(_merge, islice(results, workers))
+        return certified_report(spec, assignment, "iterative", iterations, tuple(trace))

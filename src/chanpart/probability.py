@@ -29,6 +29,7 @@ from .errors import (
     OutOfRangeError,
     SumNotOneError,
     ZeroColumnError,
+    _echo_repr,
 )
 
 #: Tolerance for container invariants (sums, row-stochasticity).
@@ -43,7 +44,7 @@ INPUT_TOL = 1e-6
 def _check_integer(name: str, value) -> None:
     """Refuse a count that is not an integer; numpy integers pass and a bool does not."""
     if not isinstance(value, Integral) or isinstance(value, bool):
-        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+        raise OutOfRangeError(f"{name} must be an integer, got {_echo_repr(value)}")
 
 
 def _count_text(value) -> str:
@@ -195,7 +196,7 @@ class Quantizer:
 
     def __post_init__(self) -> None:
         if self.kind not in ("hard", "soft"):
-            raise OutOfRangeError(f"quantizer kind must be 'hard' or 'soft', got {self.kind!r}")
+            raise OutOfRangeError(f"quantizer kind must be 'hard' or 'soft', got {_echo_repr(self.kind)}")
         _check_integer("num_cells", self.num_cells)
         if self.num_cells < 1:
             raise DimensionMismatchError(f"num_cells must be >= 1, got {_count_text(self.num_cells)}")

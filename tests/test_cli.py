@@ -15,7 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chanpart import cli
+from chanpart import (
+    ConstraintSpec,
+    ImpuritySpec,
+    OutOfRangeError,
+    Quantizer,
+    SolverOptions,
+    cli,
+    reassign_sweep,
+)
 from chanpart.cli import (
     ECHO_LIMIT,
     EXIT_DISAGREE,
@@ -32,6 +40,8 @@ from chanpart.cli import (
     parse_problem_document,
     parse_problem_file,
 )
+
+from conftest import make_e1_spec
 
 E1_DOC = {
     "format": 1,
@@ -193,6 +203,29 @@ class TestSolve:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: {key}: ")
+
+    @pytest.mark.parametrize(
+        ("overrides", "start"),
+        [
+            ({"impurity": [0.123456789] * 10**6},
+             "error: impurity: impurity kind must be one of ('entropy', 'gini'), got [0.123456789, "),
+            ({"constraint": {"kind": [0.123456789] * 10**6}},
+             "error: constraint: constraint kind must be one of ('none', 'entropy', 'linear'), got [0.123456789, "),
+            ({"options": {"seed": [0.123456789] * 10**6}},
+             "error: options: seed must be an integer, got [0.123456789, "),
+            ({"options": {"sweep_mode": [0.123456789] * 10**6}},
+             "error: options: sweep_mode must be one of ('sequential', 'batch'), got [0.123456789, "),
+        ],
+        ids=["impurity", "constraint-kind", "seed", "sweep-mode"],
+    )
+    def test_library_refusal_of_a_long_value_exits_2_on_a_short_line(self, tmp_path, capsys, overrides, start):
+        path = tmp_path / "problem.json"
+        path.write_bytes(orjson.dumps(e1_doc(**overrides)))  # json.dumps would take most of the test's time
+        assert main(["solve", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(start)
+        assert len(captured.err) < 2 * ECHO_LIMIT
 
     @pytest.mark.parametrize(
         ("doc", "key"),
@@ -782,6 +815,27 @@ class TestEchoRepr:
         for value in values:
             assert len(repr(value)) <= ECHO_LIMIT
             assert _echo_repr(value) == repr(value)
+
+    @pytest.mark.parametrize(
+        "refuse",
+        [
+            ImpuritySpec,
+            ConstraintSpec,
+            lambda value: Quantizer(value, 2),
+            lambda value: SolverOptions(seed=value),
+            lambda value: SolverOptions(sweep_mode=value),
+            lambda value: reassign_sweep(make_e1_spec(), [0, 0, 1, 1], value),
+        ],
+        ids=["impurity", "constraint-kind", "quantizer-kind", "integer", "sweep-mode", "sweep-mode-argument"],
+    )
+    def test_library_refusals_cut_a_long_value(self, refuse):
+        """The library's own messages write the cut repr, not the whole one that the CLI cuts later."""
+        with pytest.raises(OutOfRangeError) as refusal:
+            refuse([0.1] * 10**6)
+        message = str(refusal.value)
+        assert "got [0.1, 0.1, " in message
+        assert message.endswith("... (more characters)")
+        assert len(message) < 2 * ECHO_LIMIT
 
     def test_deep_nesting_is_cut_without_recursion(self):
         value = []

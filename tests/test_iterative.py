@@ -630,6 +630,23 @@ class TestRestartStarts:
         one_start = spec.num_symbols * np.dtype(np.int64).itemsize
         assert peaks[1] - peaks[0] < (40 - 2) * one_start
 
+    def test_forked_peak_memory_does_not_grow_with_restarts(self):
+        """Each worker hands back one result for its whole chunk, so this process holds
+        one assignment per worker, whatever the number of restarts."""
+        spec = random_instance(np.random.default_rng(24), num_symbols=20_000, num_cells=4)
+        peaks = []
+        with usable_cpus(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            for restarts in (2, 40):
+                tracemalloc.start()
+                try:
+                    solve_iterative(spec, SolverOptions(restarts=restarts, sweep_mode="batch", max_iterations=1))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert fork.call_count == 2
+        one_assignment = spec.num_symbols * np.dtype(np.int64).itemsize
+        assert peaks[1] - peaks[0] < 4 * one_assignment
+
 
 def _no_child_left() -> bool:
     try:
@@ -670,6 +687,34 @@ class TestForkedRestarts:
                 forked = _dump(report_document(spec, solve_iterative(spec, opts)))
             assert fork.call_count == min(restarts, 3) - 1
             assert forked == serial
+        assert _no_child_left()
+
+    @pytest.mark.parametrize(
+        ("finals", "winner"),
+        [([1.0] * 5, 0), ([1.0, 1.0, 1.0, 1.0, 0.5], 4), ([1.0, 1.0, 0.5, 0.5, 0.5], 2)],
+        ids=["all-tied", "last-lower", "lower-then-tied"],
+    )
+    def test_the_earliest_of_the_lowest_restarts_wins_across_chunks(self, finals, winner):
+        """Five restarts on three processes run in the chunks [0], [1, 2] and [3, 4]: a
+        later restart wins only by ending strictly lower, in a chunk or across chunks."""
+        spec = _fork_instance(9)
+
+        def restart(spec, index, opts, distinct):
+            labels = (np.arange(spec.num_symbols) // (index + 1)) % spec.num_cells
+            return (10 + index,), [2.0 + index, finals[index]], labels
+
+        expected = restart(spec, winner, None, None)
+        for cpus, forks in ((3, 2), (1, 0)):
+            with (
+                usable_cpus(cpus),
+                mock.patch.object(iterative, "_run_restart", restart),
+                mock.patch.object(os, "fork", wraps=os.fork) as fork,
+            ):
+                report = solve_iterative(spec, SolverOptions(restarts=5))
+            assert fork.call_count == forks
+            assert report.iterations_used == (10, 11, 12, 13, 14)
+            assert report.objective_trace == tuple(expected[1])
+            np.testing.assert_array_equal(report.assignment, expected[2])
         assert _no_child_left()
 
     @staticmethod
