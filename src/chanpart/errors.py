@@ -12,23 +12,28 @@ ECHO_LIMIT = 200
 
 
 def _repr_pieces(value):
-    """``repr(value)`` piece by piece, a list or dict item by item; no piece is empty.
-
-    A list or dict yields its bracket before it descends, so a reader that stops past
+    """``repr(value)`` piece by piece, a list, tuple or dict item by item, and an int
+    too long for ``repr`` (``sys.get_int_max_str_digits``) by its size; no piece is empty.
+    A container yields its bracket before it descends, so a reader that stops past
     :data:`ECHO_LIMIT` characters recurses at most ``ECHO_LIMIT + 1`` levels deep."""
-    if type(value) is list:
-        yield "["
+    if type(value) in (list, tuple):
+        yield "[" if type(value) is list else "("
         for i, item in enumerate(value):
             if i:
                 yield ", "
             yield from _repr_pieces(item)
-        yield "]"
+        yield "]" if type(value) is list else ",)" if len(value) == 1 else ")"
     elif type(value) is dict:
         yield "{"
         for i, (key, item) in enumerate(value.items()):
-            yield f"{', ' if i else ''}{key!r}: "
+            yield f"{', ' if i else ''}{_echo_repr(key)}: "  # a key past the cut ends the echo
             yield from _repr_pieces(item)
         yield "}"
+    elif isinstance(value, int):
+        try:
+            yield repr(value)
+        except ValueError:
+            yield f"an int of {value.bit_length()} bits"
     else:
         yield repr(value)
 

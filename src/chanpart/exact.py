@@ -15,16 +15,9 @@ Each solver checks its own domain before any work and raises
 ``PreconditionViolatedError`` (its subclass ``NotBinaryError`` for a source
 that is not binary) with a short reason, which ``chanpart compare`` reports
 as the solver's ``reason``; the two enumerations also refuse more than 2**22
-candidates.  They score candidates in blocks, summing each cell joint in
-ascending symbol order as ``cell_joints`` does, so a candidate's objective
-has the bits of the report's own arithmetic (under a linear constraint it
-may differ in the last bits: a block's masses meet the weights in one
-matrix product).  The thresholds call ``score_cells`` on each block.
-Bruteforce builds and scores the distinct cells of a group of blocks once,
-in a subset table; a block's gather, noisy-relay push and argmin stay per
-block.  Every route sums a candidate's K cell scores in ``_short_sum``.
-Ties go to the first candidate in enumeration order.  The DP scores each
-interval once, through ``score_cells`` as well, as a candidate of one cell.
+candidates.  Beyond that they only enumerate and keep the first candidate of
+least objective, whose bits ``cell_joints`` and ``score_cells`` tie to those of
+its report.  The DP scores each interval once, as a candidate of one cell.
 
 :func:`check_hyperplane_separation` verifies the local-optimality geometry
 of any hard partition: every symbol in an argmin-distance cell and, for
@@ -45,19 +38,18 @@ from .errors import (
     NotBinaryError,
     PreconditionViolatedError,
 )
-from .impurity import _column_impurities, _mass_log_mass, _short_sum, constraint_total
 from .objective import (
     CERTIFICATE_TOL,
     ProblemSpec,
     SolveReport,
-    _cell_impurities,
     _check_fits,
+    _group_objectives,
     _own_and_best,
     certified_report,
     evaluate,
     score_cells,
 )
-from .probability import Quantizer, posteriors
+from .probability import Quantizer, _subset_slots, _subset_table, cell_joints, posteriors
 
 #: Refuse exhaustive enumeration beyond 2**22 candidates.
 BRUTEFORCE_BUDGET_BITS = 22.0
@@ -77,66 +69,9 @@ def _check_budget(count: int, what: str) -> None:
         )
 
 
-def _label_rows_cells(joint: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """N x C x K cell joints of C label rows, summed in ascending symbol order like ``cell_joints``."""
-    c = len(labels)
-    flat = (labels + k * np.arange(c)[:, None]).ravel()
-    sums = [np.bincount(flat, weights=np.tile(row, c), minlength=c * k) for row in joint]
-    return np.stack(sums, dtype=float).reshape(len(joint), c, k)  # bincount of no symbols is int
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 # ---------------------------------------------------------------------------
-
-
-def _subset_table(heads: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """The N x P x K cells of P ``heads`` plus every subset of the N x S ``columns``.
-
-    Column b * K + d of head p's N x 2^S K slice of the N x P x 2^S K result is
-    its cell d plus the columns in bitmask b (bit j: column j), added in
-    ascending order as ``cell_joints`` adds a cell's symbols.
-    """
-    (n, p, k), s = heads.shape, columns.shape[1]
-    table = np.empty((n, p, 2**s, k))
-    table[:, :, 0] = heads
-    for j in range(s):  # the subsets with bit j add column j to those without
-        np.add(table[:, :, : 2**j], columns[:, j, None, None, None], out=table[:, :, 2**j : 2 ** (j + 1)])
-    return table.reshape(n, p, -1)
-
-
-def _subset_slots(k: int, low: int) -> np.ndarray:
-    """C x K subset-table columns of the C = K^low labellings of ``low`` symbols,
-    in lexicographic order: cell d of labelling c is column ``slot[c, d]``.
-    Each symbol j gives every labelling K children, child d adding bit j to
-    the bitmask of cell d."""
-    slot = np.arange(k)[None]
-    for j in range(low):
-        slot = (slot[:, None] + 2**j * k * np.eye(k, dtype=np.int64)).reshape(-1, k)
-    return slot
-
-
-def _group_objectives(spec: ProblemSpec, table: np.ndarray, slot: np.ndarray):
-    """Objectives of each head p's candidates, whose cells are the ``slot`` columns
-    of ``table[:, p]``, in ``score_cells``' arithmetic.  A table column's mass
-    and constraint term, and over the identity relay (a cell is its own output)
-    its impurity, are computed once per group; a noisy relay pushes each head's."""
-    n, kind = len(table), spec.constraint.kind
-    masses = table.sum(axis=0)  # sums of joint entries, so nonnegative
-    terms = _mass_log_mass(masses) if kind == "entropy" else masses  # each cell's G input
-    if spec.channel.is_identity:
-        impurities = _column_impurities(spec.impurity, table.reshape(n, -1)).reshape(masses.shape)
-    for p in range(len(masses)):
-        if spec.channel.is_identity:
-            f_values = spec.beta * _short_sum(impurities[p].take(slot))
-        else:
-            f_values = spec.beta * _cell_impurities(spec, table[:, p].take(slot, axis=1))[1]
-        if kind == "entropy":
-            yield f_values - _short_sum(terms[p].take(slot))
-        elif kind == "linear":  # C x K masses meet the weights in one gemv, as in score_cells
-            yield f_values + constraint_total(spec.constraint, terms[p].take(slot))
-        else:  # G = 0.0, and adding it changes no bit: a sum from 0.0 is never -0.0
-            yield f_values
 
 
 def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
@@ -146,11 +81,9 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
     head of leading labels: the heads' cell joints are built a group at a
     time.  A block's candidates differ only in where its trailing symbols
     go, so their cells are K * 2^low distinct sums, the head's cells plus
-    each subset of the trailing symbols: one subset table holds them for a
-    group of heads, and :func:`_group_objectives` scores each of its columns
-    once; a head's gather (and noisy-relay push) and argmin stay per head.
-    The winner is the first assignment in that order whose objective, in the
-    report's arithmetic, is the smallest.  Refuses more than 2**22 assignments.
+    each subset of the trailing symbols, held for a group of heads in one
+    subset table that :func:`_group_objectives` scores.  The first assignment
+    in that order of least objective wins.  Refuses more than 2**22 assignments.
     """
     m, k, n = spec.num_symbols, spec.num_cells, spec.num_sources
     _check_budget(k**m, f"{k}^{m} assignments")
@@ -168,7 +101,7 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
     best_obj, best_index = math.inf, None
     for first in range(0, prefixes, group):
         heads = np.arange(first, min(first + group, prefixes))[:, None] // powers[low:] % k
-        head_cells = _label_rows_cells(joint[:, : m - low], heads, k)
+        head_cells = cell_joints(joint[:, : m - low], heads, k)
         for lo in range(0, len(heads), tabled):
             table = _subset_table(head_cells[:, lo : lo + tabled], joint[:, m - low :])
             for head, objs in enumerate(_group_objectives(spec, table, slot), first + lo):
@@ -196,7 +129,7 @@ def _interval_blocks(joint: np.ndarray, k: int, rank: np.ndarray, block: int):
     labelling, in blocks of at most ``block`` in enumeration order (interval
     count, cuts, labelling).  Yields (cells, interval of each symbol per cut,
     labellings); candidate c is cut c // len(labellings) under labelling
-    c % len(labellings).  A cell sums its interval in ascending symbol order."""
+    c % len(labellings)."""
     n, m = joint.shape
     for intervals in range(1, min(k, m) + 1):
         cut_sets = combinations(range(1, m), intervals - 1)
@@ -204,7 +137,7 @@ def _interval_blocks(joint: np.ndarray, k: int, rank: np.ndarray, block: int):
         while chunk := list(islice(cut_sets, cuts_per_chunk)):
             cuts = np.array(chunk, dtype=np.int64).reshape(len(chunk), intervals - 1)
             interval = (cuts[:, :, None] <= rank).sum(axis=1)  # of each symbol
-            interval_joints = _label_rows_cells(joint, interval, intervals)
+            interval_joints = cell_joints(joint, interval, intervals)
             labellings = permutations(range(k), intervals)
             while part := list(islice(labellings, block)):
                 part = np.array(part, dtype=np.int64)  # the cell of each interval

@@ -197,7 +197,7 @@ class _SweepEngine:
         self.rebuild()
 
     def rebuild(self) -> None:
-        self.clusters = cell_joints(self.spec.joint, self.assignment, self.spec.num_cells)
+        self.clusters = cell_joints(self.joint, self.assignment, self.spec.num_cells)
         self._columns = list(self.clusters.T)
         self.mass = self.clusters.sum(axis=0).tolist()
         self.derivs = constraint_derivatives(self.spec.constraint, self.mass)

@@ -35,11 +35,13 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidMoveError,
     OutOfRangeError,
+    _echo_repr,
 )
 from .impurity import (
     ConstraintSpec,
     ImpuritySpec,
     _column_impurities,
+    _mass_log_mass,
     _short_sum,
     column_gradients,
     constraint_derivatives,
@@ -74,9 +76,9 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         beta = self.beta
-        # exact tests, so float(beta) cannot overflow; repr refuses an int of over 4,300 digits
+        # exact tests, so float(beta) cannot overflow
         if isinstance(beta, bool) or not isinstance(beta, Real) or not 0 < beta <= sys.float_info.max:
-            shown = _count_text(beta) if isinstance(beta, int) else repr(beta)
+            shown = _count_text(beta) if isinstance(beta, int) else _echo_repr(beta)
             raise OutOfRangeError(f"beta must be a positive finite number, got {shown}")
         object.__setattr__(self, "beta", float(beta))
         _check_integer("num_cells", self.num_cells)
@@ -136,7 +138,7 @@ class SolveReport:
 
 
 def score_cells(spec: ProblemSpec, cells: np.ndarray) -> tuple:
-    """``(outputs, F, G, objective)`` of cell joints; every solver scores here.
+    """``(outputs, F, G, objective)`` of cell joints, in the arithmetic of every candidate's score.
 
     ``cells`` holds the K cells on its last axis: one N x K partition, with
     scalar F, G and objective, or N x C x K for C candidates at once, with
@@ -157,6 +159,29 @@ def _cell_impurities(spec: ProblemSpec, cells: np.ndarray) -> tuple:
     # sums of nonnegative joint entries through a nonnegative relay need no check
     impurities = _column_impurities(spec.impurity, outputs.reshape(len(outputs), -1))
     return outputs, _short_sum(impurities.reshape(outputs.shape[1:]))
+
+
+def _group_objectives(spec: ProblemSpec, table: np.ndarray, slot: np.ndarray):
+    """Objectives, in :func:`score_cells`' arithmetic, of each head p's candidates: their
+    cells are the ``slot`` columns of the subset table's ``table[:, p]``.  A column's mass
+    and constraint term, and over the identity relay (a cell is its own output) its
+    impurity, are computed once per group; a noisy relay pushes each head's."""
+    n, kind = len(table), spec.constraint.kind
+    masses = table.sum(axis=0)  # sums of joint entries, so nonnegative
+    terms = _mass_log_mass(masses) if kind == "entropy" else masses  # each cell's G input
+    if spec.channel.is_identity:
+        impurities = _column_impurities(spec.impurity, table.reshape(n, -1)).reshape(masses.shape)
+    for p in range(len(masses)):
+        if spec.channel.is_identity:
+            f_values = spec.beta * _short_sum(impurities[p].take(slot))
+        else:
+            f_values = spec.beta * _cell_impurities(spec, table[:, p].take(slot, axis=1))[1]
+        if kind == "entropy":
+            yield f_values - _short_sum(terms[p].take(slot))
+        elif kind == "linear":  # C x K masses meet the weights in one gemv, as in score_cells
+            yield f_values + constraint_total(spec.constraint, terms[p].take(slot))
+        else:  # G = 0.0, and adding it changes no bit: a sum from 0.0 is never -0.0
+            yield f_values
 
 
 def _check_fits(spec: ProblemSpec, quantizer: Quantizer) -> None:

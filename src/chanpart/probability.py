@@ -16,6 +16,7 @@ add up; one checker, ``_distribution``, decides what a valid array is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -299,13 +300,48 @@ def posteriors(joint: JointDistribution) -> np.ndarray:
     return joint.entries / joint.symbol_marginal[None, :]
 
 
-def cell_joints(joint: JointDistribution, labels: np.ndarray, num_cells: int) -> np.ndarray:
-    """N x K cell joints p(X_n, Z_k) of trusted hard labels in [0, num_cells)."""
-    j = joint.entries
-    out = np.empty((j.shape[0], num_cells))
-    for n in range(j.shape[0]):
-        out[n] = np.bincount(labels, weights=j[n], minlength=num_cells)
-    return out
+def cell_joints(entries: np.ndarray, labels: np.ndarray, num_cells: int) -> np.ndarray:
+    """N x ... x K cell joints p(X_n, Z_k) of the N x M ``entries`` under trusted hard
+    labels in [0, num_cells): an M-vector, or label rows ... x M, one labelling each.
+    A cell sums its symbols in ascending order, so a candidate has the same bits in a
+    block as alone.  C rows are one labelling of C copies of the symbols into C * K
+    cells, tiled one source row at a time (a single labelling tiles nothing): fewer
+    than 2**14 label entries keep every temporary below 128 KiB."""
+    lead = labels.shape[:-1]
+    copies = math.prod(lead)
+    flat = labels.reshape(-1)
+    if copies != 1:  # copy c of the symbols falls in cells c * K to c * K + K - 1
+        flat = (labels + num_cells * np.arange(copies).reshape(*lead, 1)).reshape(-1)
+    out = np.empty((len(entries), copies * num_cells))
+    for n, row in enumerate(entries):
+        out[n] = np.bincount(flat, row if copies == 1 else np.tile(row, copies), copies * num_cells)
+    return out.reshape(len(entries), *lead, num_cells)
+
+
+def _subset_table(heads: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The N x P x K cells of P ``heads`` plus every subset of the N x S ``columns``.
+
+    Column b * K + d of head p's N x 2^S K slice of the N x P x 2^S K result is
+    its cell d plus the columns in bitmask b (bit j: column j), added in
+    ascending order as ``cell_joints`` adds a cell's symbols.
+    """
+    (n, p, k), s = heads.shape, columns.shape[1]
+    table = np.empty((n, p, 2**s, k))
+    table[:, :, 0] = heads
+    for j in range(s):  # the subsets with bit j add column j to those without
+        np.add(table[:, :, : 2**j], columns[:, j, None, None, None], out=table[:, :, 2**j : 2 ** (j + 1)])
+    return table.reshape(n, p, -1)
+
+
+def _subset_slots(k: int, low: int) -> np.ndarray:
+    """C x K subset-table columns of the C = K^low labellings of ``low`` symbols,
+    in lexicographic order: cell d of labelling c is column ``slot[c, d]``.
+    Each symbol j gives every labelling K children, child d adding bit j to
+    the bitmask of cell d."""
+    slot = np.arange(k)[None]
+    for j in range(low):
+        slot = (slot[:, None] + 2**j * k * np.eye(k, dtype=np.int64)).reshape(-1, k)
+    return slot
 
 
 def push_to_clusters(joint: JointDistribution, quantizer: Quantizer) -> ClusterJoints:
@@ -318,7 +354,7 @@ def push_to_clusters(joint: JointDistribution, quantizer: Quantizer) -> ClusterJ
             f"quantizer covers {quantizer.num_points} symbols, joint has {joint.num_symbols}"
         )
     if quantizer.kind == "hard":
-        entries = cell_joints(joint, quantizer.hard_assignment, quantizer.num_cells)
+        entries = cell_joints(joint.entries, quantizer.hard_assignment, quantizer.num_cells)
     else:
         entries = joint.entries @ quantizer.soft_assignment
     return ClusterJoints(entries)

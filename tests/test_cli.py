@@ -811,7 +811,7 @@ class TestEchoRepr:
 
     def test_short_reprs_are_unchanged(self):
         values = [None, True, 1, -0.0, 1e-7, 10**40, "", "é\n\"", [], {}, [1, [2.5, {"k": None}]],
-                  {"a": [1, 2], "b": {"c": "d"}}, list(range(40))]
+                  {"a": [1, 2], "b": {"c": "d"}}, list(range(40)), (), (1,), (1, (2,))]
         for value in values:
             assert len(repr(value)) <= ECHO_LIMIT
             assert _echo_repr(value) == repr(value)
@@ -825,8 +825,10 @@ class TestEchoRepr:
             lambda value: SolverOptions(seed=value),
             lambda value: SolverOptions(sweep_mode=value),
             lambda value: reassign_sweep(make_e1_spec(), [0, 0, 1, 1], value),
+            lambda value: make_e1_spec(beta=value),
         ],
-        ids=["impurity", "constraint-kind", "quantizer-kind", "integer", "sweep-mode", "sweep-mode-argument"],
+        ids=["impurity", "constraint-kind", "quantizer-kind", "integer", "sweep-mode", "sweep-mode-argument",
+             "beta"],
     )
     def test_library_refusals_cut_a_long_value(self, refuse):
         """The library's own messages write the cut repr, not the whole one that the CLI cuts later."""
@@ -836,6 +838,29 @@ class TestEchoRepr:
         assert "got [0.1, 0.1, " in message
         assert message.endswith("... (more characters)")
         assert len(message) < 2 * ECHO_LIMIT
+
+    def test_a_tuple_is_walked_item_by_item(self):
+        class Fails:
+            def __repr__(self):
+                raise AssertionError("an item past the cut was written")
+
+        value = ("x" * ECHO_LIMIT, Fails())
+        assert _echo_repr(value) == f"('{'x' * (ECHO_LIMIT - 2)}... (more characters)"
+
+    @pytest.mark.parametrize(
+        "refuse",
+        [
+            lambda value: SolverOptions(sweep_mode=value),
+            ImpuritySpec,
+            lambda value: Quantizer(value, 2),
+            lambda value: ConstraintSpec([value]),
+            lambda value: SolverOptions(seed=[value]),
+        ],
+        ids=["sweep-mode", "impurity", "quantizer-kind", "constraint-kind", "integer"],
+    )
+    def test_an_int_past_the_digit_limit_is_echoed_by_its_size(self, refuse):
+        with pytest.raises(OutOfRangeError, match=r"got \[?an int of 16610 bits\]?$"):
+            refuse(10**5000)
 
     def test_deep_nesting_is_cut_without_recursion(self):
         value = []

@@ -24,7 +24,7 @@ from chanpart import (
     threshold_structure,
     validate_joint,
 )
-from chanpart import exact
+from chanpart import exact, objective
 from chanpart.objective import _own_and_best, evaluate, score_cells
 from chanpart.probability import cell_joints, posteriors
 
@@ -42,7 +42,7 @@ E1_EXPECTED = 0.5 * binary_entropy(0.7) + 0.5 * binary_entropy(0.3)
 
 
 def _scored(spec, labels):
-    clusters = cell_joints(spec.joint, labels, spec.num_cells)
+    clusters = cell_joints(spec.joint.entries, labels, spec.num_cells)
     return score_cells(spec, clusters)[3]
 
 
@@ -163,8 +163,8 @@ def first_block_sizes(monkeypatch, solve, spec, calls):
     """(rows, entries) of the label, cell-joint, subset-table, gathered and pushed
     arrays of ``solve``'s first blocks, until ``calls`` arrays are recorded."""
     sizes = []
-    label_rows_cells, subset_table = exact._label_rows_cells, exact._subset_table
-    group_objectives, cell_impurities = exact._group_objectives, exact._cell_impurities
+    block_cells, subset_table = exact.cell_joints, exact._subset_table
+    group_objectives, cell_impurities = exact._group_objectives, objective._cell_impurities
     score_cells = exact.score_cells
 
     def record(*found):
@@ -173,7 +173,7 @@ def first_block_sizes(monkeypatch, solve, spec, calls):
             raise _Stop
 
     def built(joint, labels, k):
-        cells = label_rows_cells(joint, labels, k)
+        cells = block_cells(joint, labels, k)
         record((len(labels), labels.size), (cells.shape[1], cells.size))
         return cells
 
@@ -200,10 +200,10 @@ def first_block_sizes(monkeypatch, solve, spec, calls):
         record((cells.shape[1], cells.size))
         return score_cells(spec, cells)
 
-    monkeypatch.setattr(exact, "_label_rows_cells", built)
+    monkeypatch.setattr(exact, "cell_joints", built)
     monkeypatch.setattr(exact, "_subset_table", tabled)
     monkeypatch.setattr(exact, "_group_objectives", grouped)
-    monkeypatch.setattr(exact, "_cell_impurities", pushed)
+    monkeypatch.setattr(objective, "_cell_impurities", pushed)
     monkeypatch.setattr(exact, "score_cells", scored)
     with pytest.raises(_Stop):
         solve(spec)
@@ -340,7 +340,7 @@ class TestBinaryThresholds:
             labels = labellings[:, interval].transpose(1, 0, 2).reshape(-1, 6)
             assert len(labels) <= block
             # each cell joint sums its symbols in ascending order, as cell_joints does
-            np.testing.assert_array_equal(cells, exact._label_rows_cells(joint, labels, 4))
+            np.testing.assert_array_equal(cells, cell_joints(joint, labels, 4))
             rows.extend(labels.tolist())
         assert rows == list(oracle_interval_labellings(order, 4))
 
@@ -420,12 +420,12 @@ class TestOracleAgreement:
         joint, k = spec.joint.entries, spec.num_cells
         n, m = joint.shape
         labels = np.array(list(product(range(k), repeat=m)))
-        cells = exact._label_rows_cells(joint, labels, k)
+        cells = cell_joints(joint, labels, k)
         blocked = exact.score_cells(spec, cells)[3]
         # one subset table holds every head's candidates' cells: both sum in ascending symbol order
         for head_symbols in sorted({0, m // 2}):
             trailing = k ** (m - head_symbols)
-            heads = exact._label_rows_cells(joint[:, :head_symbols], labels[::trailing, :head_symbols], k)
+            heads = cell_joints(joint[:, :head_symbols], labels[::trailing, :head_symbols], k)
             slot = exact._subset_slots(k, m - head_symbols)
             table = exact._subset_table(heads, joint[:, head_symbols:])
             for p in range(heads.shape[1]):

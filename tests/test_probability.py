@@ -1,9 +1,12 @@
 """Containers and the linear forward model."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanpart import (
     ChannelMatrix,
@@ -24,7 +27,8 @@ from chanpart import (
     validate_joint,
 )
 
-from chanpart import probability
+from chanpart import exact, probability
+from chanpart.probability import cell_joints
 
 from conftest import E1_JOINT
 
@@ -151,6 +155,47 @@ class TestPushToClusters:
         j = validate_joint(E1_JOINT)
         c = push_to_clusters(j, Quantizer.hard([0, 0, 0, 0], 3))
         np.testing.assert_allclose(c.entries[:, 1:], 0.0, atol=0)
+
+
+class TestCellJoints:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lead=st.sampled_from([(), (1,), (3,), (0,), (2, 3), (3, 1)]),
+        m=st.integers(0, 9),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_label_rows_sum_as_one_labelling_each(self, lead, m, k, seed):
+        rng = np.random.default_rng(seed)
+        entries = rng.random((3, m))
+        labels = rng.integers(0, k, size=(*lead, m))
+        cells = cell_joints(entries, labels, k)
+        assert cells.shape == (3, *lead, k) and cells.dtype == float
+        for index in np.ndindex(*lead):
+            single = cell_joints(entries, labels[index], k)
+            assert cells[(slice(None), *index)].tobytes() == single.tobytes()
+            # one labelling: each cell adds its symbols in ascending order onto 0.0
+            expected = np.zeros((3, k))
+            for symbol, label in enumerate(labels[index].tolist()):
+                expected[:, label] += entries[:, symbol]
+            assert single.tobytes() == expected.tobytes()
+
+    def test_a_block_tiles_one_source_row_at_a_time(self):
+        rng = np.random.default_rng(5)
+        rows, k = 64, 4
+        symbols = (exact._BLOCK_ENTRIES - 1) // rows  # a block of fewer than _BLOCK_ENTRIES labels
+        entries = rng.random((8, symbols))
+        labels = rng.integers(0, k, size=(rows, symbols))
+        tracemalloc.start()
+        try:
+            cells = cell_joints(entries, labels, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_bytes = labels.size * entries.itemsize  # one source row tiled for every label row
+        assert row_bytes < 128 * 1024
+        # the offset labels, one tiled row, and the N bincounts before they are stacked into the result
+        assert peak < labels.size * labels.itemsize + row_bytes + 2 * cells.nbytes + 16 * 1024
 
 
 class TestPushThroughChannel:
