@@ -10,6 +10,7 @@ disagreement in ``compare``.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -371,8 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call shares, built at the first rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return cmd_solve(args) if args.command == "solve" else cmd_compare(args)
     # a problem file refused, or an output file that cannot be written

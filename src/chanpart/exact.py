@@ -97,17 +97,20 @@ def solve_bruteforce(spec: ProblemSpec) -> SolveReport:
     group = max(1, (_BLOCK_ENTRIES - 1) // width)  # heads whose cell joints are built at once
     tabled = max(1, (_BLOCK_ENTRIES - 1) // (n * 2**low * k))  # heads per subset table
     slot = _subset_slots(k, low)
+    taken = max(1, (_BLOCK_ENTRIES - 1) // slot.size)  # heads per gather from a table
 
-    best_obj, best_index = math.inf, None
+    best_obj, best_index, done = math.inf, None, 0  # done: candidates scored so far
     for first in range(0, prefixes, group):
         heads = np.arange(first, min(first + group, prefixes))[:, None] // powers[low:] % k
         head_cells = cell_joints(joint[:, : m - low], heads, k)
         for lo in range(0, len(heads), tabled):
             table = _subset_table(head_cells[:, lo : lo + tabled], joint[:, m - low :])
-            for head, objs in enumerate(_group_objectives(spec, table, slot), first + lo):
+            # a block holds consecutive heads, so its flat index counts on from done
+            for objs in _group_objectives(spec, table, slot, taken):
                 pick = int(objs.argmin())
-                if best_index is None or objs[pick] < best_obj:
-                    best_obj, best_index = objs[pick], head * k**low + pick
+                if best_index is None or objs.flat[pick] < best_obj:
+                    best_obj, best_index = objs.flat[pick], done + pick
+                done += objs.size
 
     return certified_report(spec, best_index // powers % k, "bruteforce")
 

@@ -13,9 +13,9 @@ gradient, which diverges at the boundary, stays finite and comparable.
 
 The ``column_*`` functions are the vectorized kernels: they score many cells
 in one call and are the only impurity code, behind the objective evaluator,
-the certificate and the solvers.  They reject negative entries; the
-solvers' own columns are nonnegative by construction and go straight to the
-unchecked ``_column_*`` kernels behind them.
+the certificate and the solvers.  They reject negative and non-finite
+entries; the solvers' own columns are finite and nonnegative by construction
+and go straight to the unchecked ``_column_*`` kernels behind them.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from .probability import INVARIANT_TOL
 GRADIENT_CLAMP = 1e-12
 
 _LOG2E = float(np.log2(np.e))
+
+#: The smallest positive float, 2**-1074: ``_column_impurities`` clamps zeros to it.
+_TINY = 5e-324
 
 IMPURITY_KINDS = ("entropy", "gini")
 CONSTRAINT_KINDS = ("none", "entropy", "linear")
@@ -104,6 +107,8 @@ class ConstraintSpec:
 
 def _checked_columns(columns, error) -> np.ndarray:
     v = np.asarray(columns, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise OutOfRangeError("cell vector has a non-finite entry")
     # float dust in [-INVARIANT_TOL, 0) counts as exactly zero
     if np.any(v < -INVARIANT_TOL):
         raise error(f"cell vector has negative entry {float(v.min())}")
@@ -132,17 +137,30 @@ def _short_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _column_impurities(spec: ImpuritySpec, v: np.ndarray) -> np.ndarray:
-    """:func:`column_impurities` of an N x C array already known to be nonnegative."""
-    w = v.sum(axis=0)
+    """:func:`column_impurities` of an N x C array already known to be nonnegative.
+
+    Zeros are clamped to the smallest subnormal ``_TINY`` instead of masked out:
+    every positive entry is at least ``_TINY`` and keeps its bits, while a zero
+    entry's entropy term, 0 * (log2 w + 1074), and a zero-weight column's Gini
+    value, 0 - 0 / _TINY, stay zeros, if of either sign; the final ``maximum``
+    turns -0.0 into 0.0.  Entropy takes one ``log2`` of the clamped entries
+    stacked over their clamped sums.
+    """
     if spec.kind == "entropy":
-        logv = np.log2(np.where(v > 0.0, v, 1.0))
-        logw = np.log2(np.where(w > 0.0, w, 1.0))
-        out = (v * (logw[None, :] - logv)).sum(axis=0)
+        # laid out as v, so the sum over axis 0 runs in numpy's order for v's layout
+        work = np.empty((len(v) + 1, v.shape[1]), order="F" if v.strides[0] < v.strides[1] else "C")
+        logv, logw = work[:-1], work[-1]
+        np.add.reduce(v, axis=0, out=logw)  # np.sum without its Python wrapper
+        np.maximum(v, _TINY, out=logv)
+        np.maximum(logw, _TINY, out=logw)
+        np.log2(work, out=work)
+        np.subtract(logw, logv, out=logv)
+        out = np.add.reduce(np.multiply(v, logv, out=logv), axis=0)
     else:
-        den = np.where(w > 0.0, w, 1.0)
-        out = np.where(w > 0.0, w - (v * v).sum(axis=0) / den, 0.0)
+        w = np.add.reduce(v, axis=0)
+        out = w - np.add.reduce(v * v, axis=0) / np.maximum(w, _TINY)
     # the impurity is nonnegative; clear the float dust of exact cancellations
-    return np.maximum(out, 0.0)
+    return np.maximum(out, 0.0, out=out)
 
 
 def column_gradients(spec: ImpuritySpec, columns) -> np.ndarray:

@@ -161,25 +161,30 @@ def _cell_impurities(spec: ProblemSpec, cells: np.ndarray) -> tuple:
     return outputs, _short_sum(impurities.reshape(outputs.shape[1:]))
 
 
-def _group_objectives(spec: ProblemSpec, table: np.ndarray, slot: np.ndarray):
+def _group_objectives(spec: ProblemSpec, table: np.ndarray, slot: np.ndarray, taken: int):
     """Objectives, in :func:`score_cells`' arithmetic, of each head p's candidates: their
     cells are the ``slot`` columns of the subset table's ``table[:, p]``.  A column's mass
     and constraint term, and over the identity relay (a cell is its own output) its
-    impurity, are computed once per group; a noisy relay pushes each head's."""
+    impurity, are computed once per group and gathered ``taken`` heads at a time; a noisy
+    relay pushes each head's.  Each yielded array holds the C objectives of q consecutive
+    heads, head after head."""
     n, kind = len(table), spec.constraint.kind
     masses = table.sum(axis=0)  # sums of joint entries, so nonnegative
     terms = _mass_log_mass(masses) if kind == "entropy" else masses  # each cell's G input
     if spec.channel.is_identity:
         impurities = _column_impurities(spec.impurity, table.reshape(n, -1)).reshape(masses.shape)
-    for p in range(len(masses)):
+    else:
+        taken = 1
+    for lo in range(0, len(masses), taken):
+        heads = slice(lo, lo + taken)
         if spec.channel.is_identity:
-            f_values = spec.beta * _short_sum(impurities[p].take(slot))
+            f_values = spec.beta * _short_sum(impurities[heads].take(slot, axis=1))
         else:
-            f_values = spec.beta * _cell_impurities(spec, table[:, p].take(slot, axis=1))[1]
+            f_values = spec.beta * _cell_impurities(spec, table[:, lo].take(slot, axis=1))[1]
         if kind == "entropy":
-            yield f_values - _short_sum(terms[p].take(slot))
-        elif kind == "linear":  # C x K masses meet the weights in one gemv, as in score_cells
-            yield f_values + constraint_total(spec.constraint, terms[p].take(slot))
+            yield f_values - _short_sum(terms[heads].take(slot, axis=1))
+        elif kind == "linear":  # C x K masses meet the weights in one gemv per head, as in score_cells
+            yield f_values + [constraint_total(spec.constraint, cells.take(slot)) for cells in terms[heads]]
         else:  # G = 0.0, and adding it changes no bit: a sum from 0.0 is never -0.0
             yield f_values
 

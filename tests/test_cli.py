@@ -443,6 +443,56 @@ class TestCompare:
         assert main(["compare", write_doc(tmp_path, doc)]) == EXIT_GUARD
 
 
+class TestParserReuse:
+    """``main`` builds its parser at the first call in a process and parses every
+    later call with it, as the benchmark and library callers call ``main``."""
+
+    def test_one_parser_serves_calls_without_carrying_state(self, tmp_path, monkeypatch, capsys):
+        path = write_doc(tmp_path, e1_doc(solver="iterative", options={"seed": 9, "restarts": 3}))
+        commands = [
+            ["solve", path, "--solver", "bruteforce", "--seed", "3"],
+            ["solve", path],
+            ["solve", path, "--no-such-flag"],
+            ["compare", path],
+        ]
+        # compare's runtimes read 0.0, so its reports compare byte for byte
+        monkeypatch.setattr(cli, "time", mock.Mock(perf_counter=mock.Mock(return_value=0.0)))
+
+        def run(argv, name):
+            out = tmp_path / name
+            try:
+                code = main([*argv, "--output", str(out)])
+            except SystemExit as exc:  # argparse refuses the arguments
+                code = exc.code
+            return code, out.read_bytes() if out.exists() else None
+
+        build_parser, builds = cli.build_parser, []
+
+        def counted():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            shared = [run(argv, f"shared{i}.json") for i, argv in enumerate(commands)]
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert [code for code, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_OK]
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        # neither the solver nor the seed of the first call carries over to the second
+        assert json.loads(shared[0][1])["solver"] == "bruteforce"
+        assert json.loads(shared[1][1])["solver"] == "iterative"
+
+        monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+        fresh = [run(argv, f"fresh{i}.json") for i, argv in enumerate(commands)]
+        assert fresh == shared
+        # the plain call ran on the file's seed 9, and seed 3 gives another report
+        seeded = [run(["solve", path, "--seed", seed], f"seed{seed}.json") for seed in ("9", "3")]
+        assert seeded[0] == shared[1] != seeded[1]
+
+
 class TestProblemFileRoundTrip:
     def test_unknown_top_level_key_rejected(self, tmp_path, capsys):
         code = main(["solve", write_doc(tmp_path, e1_doc(extra_knob=3))])

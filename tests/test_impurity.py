@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chanpart import (
     ConstraintSpec,
@@ -14,6 +17,7 @@ from chanpart import (
     OutOfRangeError,
 )
 from chanpart.impurity import (
+    _TINY,
     _column_gradients,
     _column_impurities,
     _short_sum,
@@ -268,6 +272,15 @@ class TestVectorKernels:
             np.testing.assert_array_equal(_column_impurities(spec, cols), column_impurities(spec, cols))
             np.testing.assert_array_equal(_column_gradients(spec, cols), column_gradients(spec, cols))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("spec", [ENTROPY, GINI], ids=["entropy", "gini"])
+    def test_public_kernels_reject_non_finite_entries(self, spec, bad):
+        # unchecked, NaN scores a wrong finite Gini value and an infinity a NaN
+        for kernel in (column_impurities, column_gradients):
+            for cols in ([0.5, bad], [[0.5, 0.2], [0.1, bad]]):
+                with pytest.raises(OutOfRangeError, match="cell vector has a non-finite entry"):
+                    kernel(spec, cols)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(OutOfRangeError):
             ImpuritySpec("median")
@@ -302,3 +315,75 @@ class TestShortSum:
             got = np.asarray(_short_sum(terms), dtype=np.float64).view(np.uint64)
             expected = np.asarray(terms.sum(axis=-1), dtype=np.float64).view(np.uint64)
             np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+def _masked_impurities(kind: str, v: np.ndarray) -> np.ndarray:
+    """The impurity kernel written with ``np.where`` masks instead of the subnormal
+    clamp: five array temporaries, and the bits ``_column_impurities`` must keep."""
+    w = v.sum(axis=0)
+    if kind == "entropy":
+        logv = np.log2(np.where(v > 0.0, v, 1.0))
+        logw = np.log2(np.where(w > 0.0, w, 1.0))
+        out = (v * (logw[None, :] - logv)).sum(axis=0)
+    else:
+        den = np.where(w > 0.0, w, 1.0)
+        out = np.where(w > 0.0, w - (v * v).sum(axis=0) / den, 0.0)
+    return np.maximum(out, 0.0)
+
+
+#: Kernel entries: zeros of both signs, subnormals, values near the clamp of
+#: any nearby power of ten, and ordinary masses.
+KERNEL_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, _TINY]),
+    st.floats(_TINY, 2.0**-1022, allow_subnormal=True),
+    st.floats(1e-320, 1e-290, allow_subnormal=True),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def kernel_columns(draw):
+    """N x C kernel input, N in 1..5 and C in 0..40: random entries with some
+    columns cut to a single support or to all zeros, in C or Fortran order."""
+    n, c = draw(st.integers(1, 5)), draw(st.integers(0, 40))
+    v = draw(arrays(np.float64, (n, c), elements=KERNEL_ENTRIES))
+    shape = draw(arrays(np.int8, c, elements=st.integers(0, 3)))  # 0: zero, 1: single, else free
+    v[:, shape == 0] = draw(st.sampled_from([0.0, -0.0]))
+    keep = draw(arrays(np.int64, c, elements=st.integers(0, n - 1)))
+    v[(np.arange(n)[:, None] != keep) & (shape == 1)] = 0.0
+    return np.asfortranarray(v) if draw(st.booleans()) else v
+
+
+class TestKernelBits:
+    """``_column_impurities`` clamps zeros to the smallest subnormal and keeps the
+    bits of the masked formula, compared as uint64 words."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(v=kernel_columns())
+    def test_clamped_kernel_matches_masked_formula(self, v):
+        for spec in (ENTROPY, GINI):
+            got = _column_impurities(spec, v).view(np.uint64)
+            np.testing.assert_array_equal(got, _masked_impurities(spec.kind, v).view(np.uint64), err_msg=spec.kind)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "F-strided"])
+    def test_many_sources_sum_in_the_order_of_their_layout(self, layout):
+        # from 8 sources numpy sums a contiguous axis pairwise and other axes row by
+        # row, so the kernel lays its terms out as its input is laid out
+        rng = np.random.default_rng(44)
+        v = rng.random((12, 60)) * (rng.random((12, 60)) < 0.7)
+        v = {"C": v, "F": np.asfortranarray(v), "F-strided": np.asfortranarray(v)[:, ::2]}[layout]
+        for spec in (ENTROPY, GINI):
+            got = _column_impurities(spec, v).view(np.uint64)
+            np.testing.assert_array_equal(got, _masked_impurities(spec.kind, v).view(np.uint64), err_msg=spec.kind)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100, 1000])
+    def test_log2_of_the_clamp_is_exact(self, length):
+        # numpy's SIMD log2 handles the smallest subnormal, in every lane and in the
+        # scalar tail, in place and at an offset start: the entropy kernel relies on it
+        for offset in (0, 1):
+            for position in sorted({0, length // 2, length - 1}):
+                x = np.linspace(0.25, 4.0, length + offset)[offset:]
+                x[position] = _TINY
+                assert np.log2(x)[position] == -1074.0
+                np.log2(x, out=x)
+                assert x[position] == -1074.0
